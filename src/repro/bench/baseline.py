@@ -70,7 +70,7 @@ def collect_pipeline_baseline(
                 per_method[method] = {"supported": False, "note": r.note}
                 continue
             blame = critical_path(
-                r.tracer, nic_bandwidth=costs.nic_bandwidth, config=config
+                r.tracer, nic_bandwidth=costs.nic_bandwidth
             )
             per_method[method] = {
                 "supported": True,

@@ -151,7 +151,7 @@ def collect_dash(
             + "; ".join(problems[:3])
         )
     report = critical_path(
-        result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+        result.tracer, nic_bandwidth=costs.nic_bandwidth
     )
 
     blames: dict[str, dict[str, float]] = {}
@@ -163,7 +163,7 @@ def collect_dash(
         if not other.supported:
             continue
         blames[m] = critical_path(
-            other.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+            other.tracer, nic_bandwidth=costs.nic_bandwidth
         ).shares()
 
     return {

@@ -498,12 +498,14 @@ def reconcile_metrics(
     net_summary: "NetworkSummary",
     tol: float = 1e-9,
 ) -> list[str]:
-    """Cross-check hub instruments against the independent accounting.
+    """Cross-check hub instruments against the simulator's accounting.
 
-    Three reconciliations, all maintained by disjoint code paths so
-    agreement is a real invariant, not a tautology:
+    Three reconciliations:
 
-    * per-stage histogram sums vs :class:`StageTimes` stage seconds;
+    * per-stage histogram sums vs :class:`StageTimes` stage seconds.
+      Both are written together by the pipeline's one stage recorder
+      (``repro.pvfs.pipeline.record_stage``), so this guards against a
+      stage charge that bypasses the recorder;
     * per-NIC utilization series integrals vs ``NodeUtilization`` busy
       seconds (requires :meth:`MetricsHub.finalize` to have captured
       the tail interval);

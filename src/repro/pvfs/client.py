@@ -38,6 +38,7 @@ from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
 from .jobs import Job, build_jobs
 from .protocol import (
+    OP_COLL,
     OP_CONTIG,
     OP_DTYPE,
     OP_LIST,
@@ -114,6 +115,26 @@ class _TimeoutMarker:
     def __init__(self, owner: int):
         self.owner = owner  #: req_id the timer belongs to
         self.live = True  #: cleared once the owning wait has resolved
+
+
+class _Pending:
+    """Retry-ladder state of one outstanding item: a request awaiting
+    its response or, in a fault-tolerant collective, a written segment
+    awaiting its ack or a read segment awaiting delivery."""
+
+    __slots__ = (
+        "item", "rpc", "t_sent", "attempts", "deadline", "backoff", "counter",
+    )
+
+    def __init__(self, item=None, rpc=None, deadline=0.0):
+        self.item = item  #: what a resend ships (None: a read fetch)
+        self.rpc = rpc  #: the request's rpc span, when traced
+        self.t_sent = 0.0  #: first send (RPC latency metric)
+        self.attempts = 0  #: consecutive timeouts so far
+        self.deadline = deadline  #: absolute (collective completion)
+        self.backoff = 0.0  #: seconds slept backing off (``backoff_s``)
+        #: shared countdown of the re-election handoff that built it
+        self.counter = None
 
 
 class _OpGroup:
@@ -214,73 +235,25 @@ class PVFSClient:
             raise PVFSError(resp.error)
         return resp
 
-    def _await_response(self, req_id: int):
-        """Receive the response for ``req_id``, stashing others.
+    def _await_response(self, req_id: int, timeout: Optional[float] = None):
+        """Receive the response for ``req_id``, filing other traffic.
 
         Multiple operations may be outstanding concurrently (nonblocking
-        MPI-IO); responses are matched by request id.  With fault
-        injection armed, another wait's timeout marker may surface here:
-        live foreign markers are held and re-queued on exit (re-queueing
-        immediately would bounce them straight back to this waiter),
-        dead ones are dropped.
+        MPI-IO); responses are matched by request id and everything else
+        goes to :meth:`_file_stray`.  With a ``timeout`` (armed fault
+        injection) an RPC timer bounds the wait: it drops a
+        :class:`_TimeoutMarker` into the mailbox (see that class for
+        why) and the wait returns ``None`` when it surfaces; the marker
+        is killed on exit so a late firing after the response arrived
+        injects nothing.  Another wait's live marker surfacing here is
+        held and re-queued on exit (re-queueing immediately would bounce
+        it straight back to this waiter); dead ones are dropped.
         """
         env = self.system.env
         costs = self.system.costs
-        held: list[_TimeoutMarker] = []
-        try:
-            while True:
-                if req_id in self._resp_stash:
-                    return self._resp_stash.pop(req_id)
-                msg = yield self.mailbox.get()
-                if isinstance(msg, _TimeoutMarker):
-                    if msg.live:
-                        held.append(msg)
-                    continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid == req_id:
-                    return resp
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
-        finally:
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
-
-    def _await_response_timed(self, req_id: int, timeout: float):
-        """Like :meth:`_await_response`, bounded by an RPC timer.
-
-        Returns the matched response, or ``None`` on timeout.  The
-        timer drops a :class:`_TimeoutMarker` into the mailbox (see
-        that class for why); the marker is killed on exit so a late
-        firing after the response arrived injects nothing.  Late and
-        duplicated responses for already-answered requests are consumed
-        and discarded.
-        """
-        env = self.system.env
-        costs = self.system.costs
-        marker = _TimeoutMarker(req_id)
-
-        def _fire(_ev, m=marker):
-            if m.live:
-                self.mailbox._store.put(m)
-
-        timer = env.call_later(timeout, _fire)
+        marker = timer = None
+        if timeout is not None:
+            marker, timer = self._arm_timer(req_id, timeout)
         held: list[_TimeoutMarker] = []
         try:
             while True:
@@ -293,33 +266,59 @@ class PVFSClient:
                     if msg.live:
                         held.append(msg)
                     continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid == req_id:
-                    return resp
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
+                if not isinstance(msg, (CollHandoff, _CollWake)):
+                    yield env.timeout(costs.per_message_cpu)
+                    msg = msg.payload
+                    if getattr(msg, "req_id", None) == req_id:
+                        return msg
+                self._file_stray(msg)
         finally:
-            marker.live = False
-            timer.cancel()  # the guard is moot; leave no dead queue entry
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+            if marker is not None:
+                marker.live = False
+                timer.cancel()  # the guard is moot; leave no dead entry
+            self._requeue(held)
+
+    def _arm_timer(self, owner: int, delay: float):
+        """Arm a timer that drops a :class:`_TimeoutMarker` for
+        ``owner`` into the mailbox after ``delay`` unless the marker
+        was killed first; returns ``(marker, timer)``."""
+        marker = _TimeoutMarker(owner)
+
+        def _fire(_ev, m=marker):
+            if m.live:
+                self.mailbox._store.put(m)
+
+        return marker, self.system.env.call_later(delay, _fire)
+
+    def _requeue(self, held: list) -> None:
+        """Put back the live foreign timeout markers a wait held (not
+        at once: that would bounce them straight back to it)."""
+        for m in held:
+            if m.live:
+                self.mailbox._store.put(m)
+
+    def _file_stray(self, item, done_coll: Optional[tuple] = None) -> None:
+        """File mailbox traffic that belongs to some other wait.
+
+        Re-election handoffs queue for service and wake markers are
+        dropped.  Collective segments and acks are kept for their own
+        collective, except those of ``done_coll`` (a completed one).
+        Responses are stashed for their waiter unless their request was
+        already answered (a late or duplicated delivery).
+        """
+        if isinstance(item, CollHandoff):
+            self._coll_handoffs.append(item)
+        elif isinstance(item, (CollSegment, CollAck)):
+            if item.coll_id != done_coll:
+                key = (item.coll_id, item.server, item.round_no)
+                if isinstance(item, CollSegment):
+                    self._coll_stash[key] = item
+                else:
+                    self._coll_acks.add(key)
+        elif not isinstance(item, _CollWake):
+            rid = getattr(item, "req_id", None)
+            if rid not in self._done_reqs:
+                self._resp_stash[rid] = item
 
     # ------------------------------------------------------------------
     # contiguous (POSIX-style) access
@@ -416,18 +415,11 @@ class PVFSClient:
             return None if (is_write or phantom) else np.zeros(0, np.uint8)
         if data is not None and data.size != regions.total_bytes:
             raise ValueError("data stream does not match regions")
-        tracer = self.system.tracer
         op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                f"pvfs.{op_kind}",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                ops=n,
-                nbytes=regions.total_bytes,
+        if self.system.tracer.enabled:
+            op_span = self._open_op(
+                f"pvfs.{op_kind}", trace,
+                is_write=is_write, ops=n, nbytes=regions.total_bytes,
             )
 
         S = fh.dist.strip_size
@@ -513,7 +505,7 @@ class PVFSClient:
         else:
             self.counters.bytes_read += regions.total_bytes - handled_generic
         if op_span is not None:
-            tracer.end(op_span)
+            self.system.tracer.end(op_span)
         return out
 
     # ------------------------------------------------------------------
@@ -596,6 +588,18 @@ class PVFSClient:
         self._next_req += 1
         return self._next_req
 
+    def _open_op(self, name: str, trace, **attrs):
+        """Begin a client operation span under ``trace`` (the caller's
+        span, or ``None`` for a new trace)."""
+        return self.system.tracer.begin(
+            name,
+            "client",
+            self.name,
+            trace_id=trace.trace_id if trace is not None else -1,
+            parent=trace,
+            **attrs,
+        )
+
     def _simple_ops(
         self, fh, ops, op_kind, *, is_write, data, phantom, trace=None
     ):
@@ -610,18 +614,11 @@ class PVFSClient:
                 f"data stream of {data.size} bytes vs operations totalling "
                 f"{total_bytes} bytes"
             )
-        tracer = self.system.tracer
         op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                f"pvfs.{op_kind}",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                ops=len(ops),
-                nbytes=total_bytes,
+        if self.system.tracer.enabled:
+            op_span = self._open_op(
+                f"pvfs.{op_kind}", trace,
+                is_write=is_write, ops=len(ops), nbytes=total_bytes,
             )
         out = (
             None
@@ -713,7 +710,7 @@ class PVFSClient:
         else:
             self.counters.bytes_read += total_bytes
         if op_span is not None:
-            tracer.end(op_span)
+            self.system.tracer.end(op_span)
         return out
 
     def _dtype_op(
@@ -732,17 +729,10 @@ class PVFSClient:
             raise ValueError(
                 f"data stream of {data.size} bytes vs window of {nbytes}"
             )
-        tracer = self.system.tracer
         op_span = None
-        if tracer.enabled:
-            op_span = tracer.begin(
-                "pvfs.dtype",
-                "client",
-                self.name,
-                trace_id=trace.trace_id if trace is not None else -1,
-                parent=trace,
-                is_write=is_write,
-                nbytes=nbytes,
+        if self.system.tracer.enabled:
+            op_span = self._open_op(
+                "pvfs.dtype", trace, is_write=is_write, nbytes=nbytes,
                 dataloop=loop.fingerprint().hex(),
             )
         self.counters.io_ops += 1
@@ -813,7 +803,7 @@ class PVFSClient:
         else:
             self.counters.bytes_read += nbytes
         if op_span is not None:
-            tracer.end(op_span)
+            self.system.tracer.end(op_span)
         return out
 
     # ------------------------------------------------------------------
@@ -917,8 +907,8 @@ class PVFSClient:
         ``expected`` is an iterable of ``(server, round)`` pairs; the
         matching segments are returned as a dict keyed by those pairs.
         Unrelated traffic surfacing on the mailbox (responses for the
-        aggregator role, other collectives' segments) is stashed for
-        its own waiter, mirroring :meth:`_await_response`.
+        aggregator role, other collectives' segments) goes to
+        :meth:`_file_stray`, as in :meth:`_await_response`.
         """
         env = self.system.env
         costs = self.system.costs
@@ -937,33 +927,18 @@ class PVFSClient:
                     if msg.live:
                         held.append(msg)
                     continue
-                if isinstance(msg, CollHandoff):
-                    self._coll_handoffs.append(msg)
-                    continue
-                if isinstance(msg, _CollWake):
-                    continue
-                yield env.timeout(costs.per_message_cpu)
-                resp = msg.payload
-                if isinstance(resp, CollSegment):
-                    key = (resp.coll_id, resp.server, resp.round_no)
-                    if key in want:
-                        got[key[1:]] = resp
-                        want.discard(key)
-                    else:
-                        self._coll_stash[key] = resp
-                    continue
-                if isinstance(resp, CollAck):
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                    continue
-                rid = getattr(resp, "req_id", None)
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
+                if not isinstance(msg, (CollHandoff, _CollWake)):
+                    yield env.timeout(costs.per_message_cpu)
+                    msg = msg.payload
+                    if isinstance(msg, CollSegment):
+                        key = (msg.coll_id, msg.server, msg.round_no)
+                        if key in want:
+                            got[key[1:]] = msg
+                            want.discard(key)
+                            continue
+                self._file_stray(msg)
         finally:
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+            self._requeue(held)
         return got
 
     def coll_post(self, requests: Sequence[IORequest], span=None):
@@ -972,77 +947,25 @@ class PVFSClient:
         The aggregator role posts its control requests *before*
         streaming its own data segments — awaiting inline (as
         :meth:`_io_round` does) would deadlock: every round needs this
-        rank's segments to complete.  Returns the bookkeeping that
-        :meth:`coll_finish` needs to collect the responses later.
+        rank's segments to complete.  Returns the posted requests'
+        ladder state keyed by request id, which :meth:`coll_finish` or
+        :meth:`coll_complete` needs to collect the responses later.
         """
-        env = self.system.env
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        t_sent: dict[int, float] = {}
-        rpc_spans: dict[int, object] = {}
-        if tracer.enabled and span is not None:
-            for req in requests:
-                rpc = tracer.begin(
-                    "rpc",
-                    "client",
-                    self.name,
-                    trace_id=span.trace_id,
-                    parent=span,
-                    server=req.server,
-                    op_kind=req.op_kind,
-                    desc_bytes=req.descriptor_bytes(self.system.costs),
-                )
-                req.trace_id = span.trace_id
-                req.trace_parent = rpc.span_id
-                rpc_spans[req.req_id] = rpc
-        for req in requests:
-            if metrics.enabled:
-                t_sent[req.req_id] = env.now
-            yield from self._send_io(req)
-        return t_sent, rpc_spans
+        posted = yield from self._post(requests, span)
+        return posted
 
     def coll_finish(self, requests: Sequence[IORequest], posted):
         """Collect one response per request posted by :meth:`coll_post`.
 
-        Mirrors the response half of :meth:`_io_round`, including the
+        The response half of :meth:`_io_round`, including the
         reject/backoff/resend loop of the bounded-admission server
         (segments already ingested survive a rejection, and the server's
         done-ring deduplicates a resend of an already-applied round).
         """
-        t_sent, rpc_spans = posted
-        env = self.system.env
-        cfg = self.system.config
-        tracer = self.system.tracer
-        metrics = self.system.metrics
         responses: dict[int, IOResponse] = {}
         for req in requests:
-            rpc = rpc_spans.get(req.req_id)
-            while True:
-                resp: IOResponse = yield from self._await_response(
-                    req.req_id
-                )
-                if resp.rejected:
-                    self.counters.retries += 1
-                    if metrics.enabled:
-                        metrics.retry()
-                    if rpc is not None:
-                        rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                    if cfg.server_retry_backoff > 0:
-                        yield env.timeout(cfg.server_retry_backoff)
-                    yield from self._send_io(req)
-                    continue
-                if resp.error:
-                    if rpc is not None:
-                        tracer.end(rpc, error=resp.error)
-                    raise PVFSError(resp.error)
-                responses[resp.req_id] = resp
-                if metrics.enabled:
-                    metrics.observe_rpc(
-                        env.now - t_sent[req.req_id], req.op_kind
-                    )
-                if rpc is not None:
-                    tracer.end(rpc, nbytes=resp.nbytes)
-                break
+            resp = yield from self._collect(posted[req.req_id])
+            responses[resp.req_id] = resp
         return responses
 
     # ------------------------------------------------------------------
@@ -1061,13 +984,7 @@ class PVFSClient:
         costs = self.system.costs
         if abs_deadline <= env.now:
             return None
-        marker = _TimeoutMarker(-1)
-
-        def _fire(_ev, m=marker):
-            if m.live:
-                self.mailbox._store.put(m)
-
-        timer = env.call_later(abs_deadline - env.now, _fire)
+        marker, timer = self._arm_timer(-1, abs_deadline - env.now)
         held: list[_TimeoutMarker] = []
         try:
             while True:
@@ -1085,9 +1002,7 @@ class PVFSClient:
         finally:
             marker.live = False
             timer.cancel()
-            for m in held:
-                if m.live:
-                    self.mailbox._store.put(m)
+            self._requeue(held)
 
     def coll_complete(
         self,
@@ -1104,13 +1019,14 @@ class PVFSClient:
         """Fault-tolerant completion engine for one rank's collective.
 
         One unified RTO loop drives every outstanding obligation of
-        this rank — reusing the PR-5 timeout/backoff/dedup machinery,
-        but over *all* items at once rather than request-by-request,
-        because the collective's recovery paths are interdependent: a
-        composite request completes only when every rank's segment is
-        in, and a rank's segment ack arrives only after some aggregator
-        re-delivers the round's request.  Sequential per-item waits
-        would deadlock on exactly the fault patterns this exists for.
+        this rank — the client's retry ladder (:meth:`_escalate`,
+        :meth:`_rejected`, :meth:`_answered`), but over *all* items at
+        once rather than request-by-request, because the collective's
+        recovery paths are interdependent: a composite request
+        completes only when every rank's segment is in, and a rank's
+        segment ack arrives only after some aggregator re-delivers the
+        round's request.  Sequential per-item waits would deadlock on
+        exactly the fault patterns this exists for.
 
         * ``sent_segs`` — ``{(server, round): CollSegment}`` this rank
           streamed for a write; each entry waits for its
@@ -1121,7 +1037,7 @@ class PVFSClient:
           rank; an overdue entry sends a :class:`CollFetch`, served
           from the server's retained scatter buffer.
         * ``requests``/``posted`` — the aggregator role's composite
-          requests (from :meth:`coll_post`): the PR-5 ladder plus
+          requests (from :meth:`coll_post`): the RPC ladder plus
           **aggregator re-election** — at ``coll_reelect_after``
           consecutive timeouts the rounds are handed to the next
           surviving aggregator slot (deterministic ring scan), and
@@ -1134,41 +1050,40 @@ class PVFSClient:
         fails typed — never a hang.
         """
         env = self.system.env
-        cfg = self.system.config
         costs = self.system.costs
         net = self.system.net
-        tracer = self.system.tracer
         metrics = self.system.metrics
         faults = self.system.faults
         fcfg = faults.config
-        base = fcfg.rpc_timeout
         eps = 1e-12
 
-        t_sent, rpc_spans = posted if posted is not None else ({}, {})
         responses: dict[int, IOResponse] = {}
         got: dict[tuple, CollSegment] = {}
 
-        # pending items; deadlines are absolute simulated instants
-        acks: dict[tuple, list] = {}  # (srv, rnd) -> [attempts, deadline, seg]
-        fetches: dict[tuple, list] = {}  # (srv, rnd) -> [attempts, deadline]
-        reqs: dict[int, list] = {}  # req_id -> [attempts, deadline, req, hctr]
+        # pending items (deadlines are absolute simulated instants):
+        # written segments awaiting acks and read segments awaiting
+        # delivery keyed (server, round), requests keyed by req_id
+        acks: dict[tuple, _Pending] = {}
+        fetches: dict[tuple, _Pending] = {}
+        reqs: dict[int, _Pending] = {}
 
-        now = env.now
+        first = env.now + self._rto(0)
         if sent_segs:
             for (server, rno), seg in sent_segs.items():
                 if (rec.coll_id, server, rno) in self._coll_acks:
                     self._coll_acks.discard((rec.coll_id, server, rno))
                     continue
-                acks[(server, rno)] = [0, now + base, seg]
+                acks[(server, rno)] = _Pending(seg, deadline=first)
         if expect:
             for server, rno in expect:
                 seg = self._coll_stash.pop((rec.coll_id, server, rno), None)
                 if seg is not None:
                     got[(server, rno)] = seg
                     continue
-                fetches[(server, rno)] = [0, now + base]
+                fetches[(server, rno)] = _Pending(deadline=first)
         for req in requests:
-            reqs[req.req_id] = [0, now + base, req, None]
+            reqs[req.req_id] = p = posted[req.req_id]
+            p.deadline = first
 
         tid = span.trace_id if span is not None else -1
         pid = span.span_id if span is not None else -1
@@ -1189,33 +1104,67 @@ class PVFSClient:
                 rec.maybe_release()
                 return
             yield env.timeout(costs.fs_op_client_cost)
-            ts, sp = yield from self.coll_post(built, span)
-            t_sent.update(ts)
-            rpc_spans.update(sp)
+            adopted = yield from self.coll_post(built, span)
             counter = [len(built)]
-            t = env.now + base
-            for req in built:
-                reqs[req.req_id] = [0, t, req, counter]
+            t = env.now + self._rto(0)
+            for rid, p in adopted.items():
+                p.deadline = t
+                p.counter = counter
+                reqs[rid] = p
 
-        def _resolve_handoff(st):
-            counter = st[3]
+        def _resolve_handoff(p: _Pending):
+            counter = p.counter
             if counter is not None:
                 counter[0] -= 1
                 if counter[0] == 0:
                     rec.pending_handoffs -= 1
                     rec.maybe_release()
 
-        def _exhaust(server, rno, attempts, what):
+        def _exhaust(kind, key, p: _Pending):
+            if kind == "request":
+                self._give_up(p)  # raises
+            what = "write ack" if kind == "segment" else "read segment"
+            server, rno = key
             faults.coll_exhausted(
-                self.name, server, rno, attempts, trace_id=tid, span=span
+                self.name, server, rno, p.attempts, trace_id=tid, span=span
             )
             raise RetriesExhausted(
                 f"collective {what} for round {rno} on iod{server} from "
-                f"{self.name} gave up after {attempts} timeouts",
+                f"{self.name} gave up after {p.attempts} timeouts",
                 job_id=-1,
                 server=server,
                 client=self.name,
-                attempts=attempts,
+                attempts=p.attempts,
+            )
+
+        def _resend(kind, key, p: _Pending):
+            if kind == "request":
+                yield from self._send_io(p.item)
+                return
+            server, rno = key
+            faults.coll_resend(
+                self.name, server, rno, p.attempts,
+                kind=kind, trace_id=tid, span=span,
+            )
+            if metrics.enabled:
+                metrics.coll_resend()
+            if kind == "segment":
+                yield from self.coll_send_segment(server, p.item)
+                return
+            fetch = CollFetch(
+                rec.coll_id, rno, server, self.name,
+                reply_to=self.mailbox,
+                trace_id=tid, trace_parent=pid,
+            )
+            self.counters.requests_sent += 1
+            self.counters.request_desc_bytes += costs.header_bytes
+            yield from net.send(
+                self.mailbox,
+                self.system.servers[server].mailbox,
+                fetch.wire_bytes(costs),
+                payload=fetch,
+                pace=False,
+                faultable=True,
             )
 
         if handoff is not None:
@@ -1227,169 +1176,74 @@ class PVFSClient:
             if not (acks or fetches or reqs):
                 break
             deadline = min(
-                min((st[1] for st in acks.values()), default=float("inf")),
-                min((st[1] for st in fetches.values()), default=float("inf")),
-                min((st[1] for st in reqs.values()), default=float("inf")),
+                p.deadline
+                for items in (acks, fetches, reqs)
+                for p in items.values()
             )
             msg = yield from self._coll_recv(deadline)
             if msg is None:
                 # ---- deadline: escalate every overdue item
                 now = env.now + eps
-                for key in [k for k, st in acks.items() if st[1] <= now]:
-                    st = acks[key]
-                    st[0] += 1
-                    if st[0] > fcfg.max_retries:
-                        _exhaust(key[0], key[1], st[0], "write ack")
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    faults.coll_resend(
-                        self.name, key[0], key[1], st[0],
-                        kind="segment", trace_id=tid, span=span,
-                    )
-                    if metrics.enabled:
-                        metrics.coll_resend()
-                    yield from self.coll_send_segment(key[0], st[2])
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
-                for key in [k for k, st in fetches.items() if st[1] <= now]:
-                    st = fetches[key]
-                    st[0] += 1
-                    if st[0] > fcfg.max_retries:
-                        _exhaust(key[0], key[1], st[0], "read segment")
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    faults.coll_resend(
-                        self.name, key[0], key[1], st[0],
-                        kind="fetch", trace_id=tid, span=span,
-                    )
-                    if metrics.enabled:
-                        metrics.coll_resend()
-                    fetch = CollFetch(
-                        rec.coll_id, key[1], key[0], self.name,
-                        reply_to=self.mailbox,
-                        trace_id=tid, trace_parent=pid,
-                    )
-                    self.counters.requests_sent += 1
-                    self.counters.request_desc_bytes += costs.header_bytes
-                    yield from net.send(
-                        self.mailbox,
-                        self.system.servers[key[0]].mailbox,
-                        fetch.wire_bytes(costs),
-                        payload=fetch,
-                        pace=False,
-                        faultable=True,
-                    )
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
-                for rid in [r for r, st in reqs.items() if st[1] <= now]:
-                    st = reqs.get(rid)
-                    if st is None:
-                        continue  # moved by a re-election this same pass
-                    st[0] += 1
-                    req = st[2]
-                    rpc = rpc_spans.get(rid)
-                    self.counters.timeouts += 1
-                    if metrics.enabled:
-                        metrics.timeout()
-                    faults.rpc_timeout(self.name, req, st[0], rpc)
-                    if (
-                        my_agg is not None
-                        and st[0] >= fcfg.coll_reelect_after
-                    ):
-                        cand = rec.elect(my_agg)
-                        if cand is not None:
-                            self._coll_reelect(
-                                rec, my_agg, cand, req.server,
-                                reqs, rpc_spans, span,
-                            )
-                            continue
-                    if st[0] > fcfg.max_retries:
-                        faults.rpc_exhausted(self.name, req, st[0], rpc)
-                        err = (
-                            f"server iod{req.server} unresponsive: "
-                            f"collective request {rid} from {self.name} "
-                            f"gave up after {st[0]} timeouts"
+                for kind, items in (
+                    ("segment", acks), ("fetch", fetches), ("request", reqs)
+                ):
+                    for key in [k for k, p in items.items() if p.deadline <= now]:
+                        p = items.get(key)
+                        if p is None:
+                            continue  # moved by a re-election this same pass
+                        if kind != "request":
+                            p.attempts += 1
+                        else:
+                            self._timed_out(p)
+                            if (
+                                my_agg is not None
+                                and p.attempts >= fcfg.coll_reelect_after
+                            ):
+                                cand = rec.elect(my_agg)
+                                if cand is not None:
+                                    self._coll_reelect(
+                                        rec, my_agg, cand, p.item.server,
+                                        reqs, span,
+                                    )
+                                    continue
+                        yield from self._escalate(
+                            p,
+                            lambda: _exhaust(kind, key, p),
+                            lambda: _resend(kind, key, p),
                         )
-                        if rpc is not None:
-                            tracer.end(rpc, error=err)
-                        raise RetriesExhausted(
-                            err, job_id=rid, server=req.server,
-                            client=self.name, attempts=st[0],
-                        )
-                    backoff = fcfg.retry_backoff * (2 ** (st[0] - 1))
-                    if backoff > 0:
-                        yield env.timeout(backoff)
-                    yield from self._send_io(req)
-                    st[1] = env.now + base * (2 ** min(st[0], 20))
                 continue
             # ---- arrivals
             if isinstance(msg, CollHandoff):
                 yield from _integrate(msg)
                 continue
-            if isinstance(msg, _CollWake):
-                continue
-            if isinstance(msg, CollAck):
-                if msg.coll_id == rec.coll_id:
-                    acks.pop((msg.server, msg.round_no), None)
-                else:
-                    self._coll_acks.add(
-                        (msg.coll_id, msg.server, msg.round_no)
-                    )
-                continue
-            if isinstance(msg, CollSegment):
+            if isinstance(msg, (CollAck, CollSegment)) and (
+                msg.coll_id == rec.coll_id
+            ):
                 key = (msg.server, msg.round_no)
-                if msg.coll_id == rec.coll_id:
-                    if key in fetches:
-                        del fetches[key]
-                        got[key] = msg
-                    # else: duplicate of an already-received round
-                else:
-                    self._coll_stash[
-                        (msg.coll_id, msg.server, msg.round_no)
-                    ] = msg
+                if isinstance(msg, CollAck):
+                    acks.pop(key, None)
+                elif fetches.pop(key, None) is not None:
+                    got[key] = msg
+                # else: duplicate of an already-received round
                 continue
-            resp = msg
-            rid = getattr(resp, "req_id", None)
-            st = reqs.get(rid)
-            if st is None:
-                if rid not in self._done_reqs:
-                    self._resp_stash[rid] = resp
+            rid = getattr(msg, "req_id", None)
+            p = reqs.get(rid)
+            if p is None:
+                self._file_stray(msg)
                 continue
-            req = st[2]
-            rpc = rpc_spans.get(rid)
-            if resp.rejected:
-                self.counters.retries += 1
-                if metrics.enabled:
-                    metrics.retry()
-                if rpc is not None:
-                    rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                if cfg.server_retry_backoff > 0:
-                    yield env.timeout(cfg.server_retry_backoff)
-                yield from self._send_io(req)
-                st[1] = env.now + base * (2 ** min(st[0], 20))
+            if msg.rejected:
+                yield from self._rejected(p)
+                p.deadline = env.now + self._rto(p.attempts)
                 continue
-            if resp.error:
-                if rpc is not None:
-                    tracer.end(rpc, error=resp.error)
-                raise PVFSError(resp.error)
+            self._answered(p, msg, armed=True)
             del reqs[rid]
-            self._done_reqs.add(rid)
-            responses[rid] = resp
-            if st[0]:
-                self.counters.failovers += 1
-                if metrics.enabled:
-                    metrics.failover()
-                faults.rpc_failover(self.name, req, st[0], rpc)
-            if metrics.enabled and rid in t_sent:
-                metrics.observe_rpc(env.now - t_sent[rid], req.op_kind)
-            if rpc is not None:
-                tracer.end(rpc, nbytes=resp.nbytes, timeouts=st[0])
-            _resolve_handoff(st)
+            responses[rid] = msg
+            _resolve_handoff(p)
         return responses, got
 
     def _coll_reelect(
         self, rec: CollRecovery, from_agg: int, to_agg: int, server: int,
-        reqs: dict, rpc_spans: dict, span,
+        reqs: dict, span,
     ) -> None:
         """Hand every pending composite request for ``server`` to the
         elected surviving aggregator slot.
@@ -1402,22 +1256,17 @@ class PVFSClient:
         *before* the marker lands so the completion gate can never
         release between the two.
         """
-        tracer = self.system.tracer
         metrics = self.system.metrics
         faults = self.system.faults
         rec.dead.add(from_agg)
-        moved = [
-            (rid, st) for rid, st in reqs.items() if st[2].server == server
-        ]
-        rounds = sorted(st[2].coll.round_no for _, st in moved)
+        moved = [(rid, p) for rid, p in reqs.items() if p.item.server == server]
+        rounds = sorted(p.item.coll.round_no for _, p in moved)
         rec.pending_handoffs += 1
-        for rid, st in moved:
+        for rid, p in moved:
             del reqs[rid]
             self._done_reqs.add(rid)
-            rpc = rpc_spans.pop(rid, None)
-            if rpc is not None:
-                tracer.end(rpc, reelected=True, timeouts=st[0])
-            counter = st[3]
+            self._end_rpc(p, reelected=True, timeouts=p.attempts)
+            counter = p.counter
             if counter is not None:
                 # a handed-off handoff releases its old counter (the
                 # fresh pending_handoffs above keeps the gate closed)
@@ -1460,190 +1309,215 @@ class PVFSClient:
             msg = yield self.mailbox.get()
             if isinstance(msg, _TimeoutMarker):
                 continue  # a finished wait's dead marker
-            if isinstance(msg, _CollWake):
-                continue  # loop condition re-checks rec.done
             if isinstance(msg, CollHandoff):
                 yield from self.coll_complete(
                     rec, my_agg=my_agg, span=span, handoff=msg,
                 )
                 continue
-            yield env.timeout(costs.per_message_cpu)
-            resp = msg.payload
-            if isinstance(resp, CollSegment):
-                if resp.coll_id != rec.coll_id:
-                    self._coll_stash[
-                        (resp.coll_id, resp.server, resp.round_no)
-                    ] = resp
-                continue
-            if isinstance(resp, CollAck):
-                if resp.coll_id != rec.coll_id:
-                    self._coll_acks.add(
-                        (resp.coll_id, resp.server, resp.round_no)
-                    )
-                continue
-            rid = getattr(resp, "req_id", None)
-            if rid not in self._done_reqs:
-                self._resp_stash[rid] = resp
+            if not isinstance(msg, _CollWake):
+                yield env.timeout(costs.per_message_cpu)
+                msg = msg.payload
+            # a wake needs nothing: the loop condition re-checks
+            # rec.done; this collective's own late traffic is dropped
+            self._file_stray(msg, done_coll=rec.coll_id)
 
+    # ------------------------------------------------------------------
+    # the RPC path: post, then collect on one retry ladder
+    # ------------------------------------------------------------------
     def _io_round(self, requests, span=None):
         """Send all requests, then collect every response.
 
-        A server running with a bounded admission queue may reject a
-        request outright (``IOResponse.rejected``); the client backs off
-        ``server_retry_backoff`` seconds and resends until admitted —
-        the backpressure loop of the multi-threaded server model.
+        ``requests`` holds ``(request, stream positions, regions)``
+        triples; the response dict is keyed by request id.  Each
+        response is collected on the retry ladder of :meth:`_collect`.
 
         When tracing, each request gets its own ``rpc`` round-trip span
         under ``span`` (the operation span); the request carries the
         trace id and the rpc span id so server-side and network spans
         join the same trace.
         """
-        env = self.system.env
-        cfg = self.system.config
-        tracer = self.system.tracer
-        metrics = self.system.metrics
-        t_sent: dict[int, float] = {}
-        rpc_spans: dict[int, object] = {}
-        if tracer.enabled and span is not None:
-            for req, _spos, _regions in requests:
-                rpc = tracer.begin(
-                    "rpc",
-                    "client",
-                    self.name,
-                    trace_id=span.trace_id,
-                    parent=span,
-                    server=req.server,
-                    op_kind=req.op_kind,
-                    desc_bytes=req.descriptor_bytes(self.system.costs),
-                )
-                req.trace_id = span.trace_id
-                req.trace_parent = rpc.span_id
-                rpc_spans[req.req_id] = rpc
-        faults = self.system.faults
+        posted = yield from self._post([r[0] for r in requests], span)
         responses: dict[int, IOResponse] = {}
-        for req, _spos, _regions in requests:
-            if metrics.enabled:
-                t_sent[req.req_id] = env.now
-            yield from self._send_io(req)
-        for req, _spos, _regions in requests:
-            rpc = rpc_spans.get(req.req_id)
-            if faults.enabled and faults.armed:
-                resp = yield from self._collect_faulty(
-                    req, rpc, t_sent.get(req.req_id, 0.0)
-                )
-                responses[resp.req_id] = resp
-                continue
-            while True:
-                resp: IOResponse = yield from self._await_response(
-                    req.req_id
-                )
-                if resp.rejected:
-                    self.counters.retries += 1
-                    if metrics.enabled:
-                        metrics.retry()
-                    if rpc is not None:
-                        rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                    if cfg.server_retry_backoff > 0:
-                        yield env.timeout(cfg.server_retry_backoff)
-                    yield from self._send_io(req)
-                    continue
-                if resp.error:
-                    if rpc is not None:
-                        tracer.end(rpc, error=resp.error)
-                    raise PVFSError(resp.error)
-                responses[resp.req_id] = resp
-                if metrics.enabled:
-                    # accumulates rejection backoff + resends: the
-                    # latency the operation actually experienced
-                    metrics.observe_rpc(
-                        env.now - t_sent[req.req_id], req.op_kind
-                    )
-                if rpc is not None:
-                    tracer.end(rpc, nbytes=resp.nbytes)
-                break
+        for p in posted.values():
+            resp = yield from self._collect(p)
+            responses[resp.req_id] = resp
         return responses
 
-    def _collect_faulty(self, req: IORequest, rpc, t_sent: float):
-        """Collect one response under an armed fault injector.
+    def _post(self, requests: Sequence[IORequest], span=None):
+        """Open each request's rpc span (when traced), then send them
+        all; returns their ladder state keyed by request id."""
+        env = self.system.env
+        traced = self.system.tracer.enabled and span is not None
+        posted: dict[int, _Pending] = {}
+        for req in requests:
+            posted[req.req_id] = _Pending(
+                req, self._open_rpc(req, span) if traced else None
+            )
+        for p in posted.values():
+            p.t_sent = env.now
+            yield from self._send_io(p.item)
+        return posted
 
-        The one recovery path for dropped messages and crashed servers:
-        a per-RPC timeout with exponential backoff and bounded resends.
+    def _open_rpc(self, req: IORequest, span):
+        """Begin ``req``'s ``rpc`` round-trip span under ``span`` and
+        stamp the request with the trace and rpc span ids."""
+        rpc = self.system.tracer.begin(
+            "rpc",
+            "client",
+            self.name,
+            trace_id=span.trace_id,
+            parent=span,
+            server=req.server,
+            op_kind=req.op_kind,
+            desc_bytes=req.descriptor_bytes(self.system.costs),
+        )
+        req.trace_id = span.trace_id
+        req.trace_parent = rpc.span_id
+        return rpc
+
+    def _collect(self, p: _Pending):
+        """Await one posted request's final response.
+
+        Under an armed fault injector this is the one recovery path for
+        dropped messages and crashed servers: a per-RPC timeout with
+        exponential backoff and bounded resends (:meth:`_escalate`).
         Because striped transfers fan one operation out over many
         requests, resending just the timed-out request *is* job-level
         resume — the already-answered stripes are never re-shipped.
         Every attempt reuses the request id, so writes are idempotent
-        and duplicated responses deduplicate naturally.  A request
-        whose every retry times out raises
-        :class:`~repro.pvfs.errors.RetriesExhausted` — never a hang.
+        and duplicated responses deduplicate naturally.  A server with
+        a bounded admission queue may reject the request outright
+        (:meth:`_rejected`).
         """
-        env = self.system.env
-        cfg = self.system.config
-        tracer = self.system.tracer
-        metrics = self.system.metrics
         faults = self.system.faults
-        fcfg = faults.config
-        attempts = 0
+        armed = faults.enabled and faults.armed
+        req = p.item
         while True:
-            # the deadline doubles per consecutive timeout (TCP RTO
-            # style): a base deadline shorter than a large transfer's
-            # legitimate wire time would otherwise time out forever,
-            # while crashed-server recovery stays one base deadline away
-            deadline = fcfg.rpc_timeout * (2 ** min(attempts, 20))
-            resp = yield from self._await_response_timed(
-                req.req_id, deadline
+            resp = yield from self._await_response(
+                req.req_id, self._rto(p.attempts) if armed else None
             )
             if resp is None:
-                attempts += 1
-                self.counters.timeouts += 1
-                if metrics.enabled:
-                    metrics.timeout()
-                faults.rpc_timeout(self.name, req, attempts, rpc)
-                if attempts > fcfg.max_retries:
-                    faults.rpc_exhausted(self.name, req, attempts, rpc)
-                    msg = (
-                        f"server iod{req.server} unresponsive: request "
-                        f"{req.req_id} from {self.name} gave up after "
-                        f"{attempts} timeouts"
-                    )
-                    if rpc is not None:
-                        tracer.end(rpc, error=msg)
-                    raise RetriesExhausted(
-                        msg,
-                        job_id=req.req_id,
-                        server=req.server,
-                        client=self.name,
-                        attempts=attempts,
-                    )
-                backoff = fcfg.retry_backoff * (2 ** (attempts - 1))
-                if backoff > 0:
-                    yield env.timeout(backoff)
-                yield from self._send_io(req)
+                self._timed_out(p)
+                yield from self._escalate(
+                    p, lambda: self._give_up(p), lambda: self._send_io(req)
+                )
                 continue
             if resp.rejected:
-                self.counters.retries += 1
-                if metrics.enabled:
-                    metrics.retry()
-                if rpc is not None:
-                    rpc.attrs["retries"] = rpc.attrs.get("retries", 0) + 1
-                if cfg.server_retry_backoff > 0:
-                    yield env.timeout(cfg.server_retry_backoff)
-                yield from self._send_io(req)
+                yield from self._rejected(p)
                 continue
-            if resp.error:
-                if rpc is not None:
-                    tracer.end(rpc, error=resp.error)
-                raise PVFSError(resp.error)
+            self._answered(p, resp, armed)
+            return resp
+
+    def _rto(self, attempts: int) -> float:
+        """RPC deadline after ``attempts`` consecutive timeouts.
+
+        It doubles per consecutive timeout (TCP RTO style): a base
+        deadline shorter than a large transfer's legitimate wire time
+        would otherwise time out forever, while crashed-server recovery
+        stays one base deadline away.
+        """
+        return self.system.faults.config.rpc_timeout * (2 ** min(attempts, 20))
+
+    def _timed_out(self, p: _Pending) -> None:
+        """Count one timeout of a request (counters, metric, event)."""
+        p.attempts += 1
+        self.counters.timeouts += 1
+        if self.system.metrics.enabled:
+            self.system.metrics.timeout()
+        self.system.faults.rpc_timeout(self.name, p.item, p.attempts, p.rpc)
+
+    def _escalate(self, p: _Pending, give_up, resend):
+        """Climb one rung of the timeout ladder.
+
+        ``p.attempts`` already counts the timeout.  Past ``max_retries``
+        timeouts ``give_up()`` raises; otherwise sleep the exponential
+        backoff ``retry_backoff·2^(attempts-1)``, run ``resend()`` and
+        re-arm the item's absolute deadline.
+        """
+        env = self.system.env
+        fcfg = self.system.faults.config
+        if p.attempts > fcfg.max_retries:
+            give_up()
+        backoff = fcfg.retry_backoff * (2 ** (p.attempts - 1))
+        if backoff > 0:
+            yield env.timeout(backoff)
+            p.backoff += backoff
+        yield from resend()
+        p.deadline = env.now + self._rto(p.attempts)
+
+    def _rejected(self, p: _Pending):
+        """Admission-control rejection: back off ``server_retry_backoff``
+        seconds and resend until admitted — the backpressure loop of
+        the multi-threaded server model.  Not a timeout: the attempt
+        count stays."""
+        metrics = self.system.metrics
+        self.counters.retries += 1
+        if metrics.enabled:
+            metrics.retry()
+        if p.rpc is not None:
+            p.rpc.attrs["retries"] = p.rpc.attrs.get("retries", 0) + 1
+        backoff = self.system.config.server_retry_backoff
+        if backoff > 0:
+            yield self.system.env.timeout(backoff)
+            p.backoff += backoff
+        yield from self._send_io(p.item)
+
+    def _give_up(self, p: _Pending):
+        """A request's ladder is spent: raise :class:`RetriesExhausted`."""
+        req = p.item
+        self.system.faults.rpc_exhausted(self.name, req, p.attempts, p.rpc)
+        what = "collective request" if req.op_kind == OP_COLL else "request"
+        err = (
+            f"server iod{req.server} unresponsive: {what} {req.req_id} "
+            f"from {self.name} gave up after {p.attempts} timeouts"
+        )
+        self._end_rpc(p, error=err)
+        raise RetriesExhausted(
+            err,
+            job_id=req.req_id,
+            server=req.server,
+            client=self.name,
+            attempts=p.attempts,
+        )
+
+    def _answered(self, p: _Pending, resp: IOResponse, armed: bool) -> None:
+        """Book a request's final response.
+
+        A server error raises :class:`PVFSError`.  Otherwise: under an
+        armed injector the request id is marked answered (late and
+        duplicated responses are then discarded) and a request that
+        timed out first counts as a failover; the RPC latency metric
+        (which includes every backoff and resend) and the rpc span end
+        follow.
+        """
+        metrics = self.system.metrics
+        req = p.item
+        if resp.error:
+            self._end_rpc(p, error=resp.error)
+            raise PVFSError(resp.error)
+        if armed:
             self._done_reqs.add(req.req_id)
-            if attempts:
+            if p.attempts:
                 self.counters.failovers += 1
                 if metrics.enabled:
                     metrics.failover()
-                faults.rpc_failover(self.name, req, attempts, rpc)
-            if metrics.enabled:
-                metrics.observe_rpc(env.now - t_sent, req.op_kind)
-            if rpc is not None:
-                tracer.end(rpc, nbytes=resp.nbytes, timeouts=attempts)
-            return resp
+                self.system.faults.rpc_failover(
+                    self.name, req, p.attempts, p.rpc
+                )
+        if metrics.enabled:
+            metrics.observe_rpc(self.system.env.now - p.t_sent, req.op_kind)
+        if armed:
+            self._end_rpc(p, nbytes=resp.nbytes, timeouts=p.attempts)
+        else:
+            self._end_rpc(p, nbytes=resp.nbytes)
+
+    def _end_rpc(self, p: _Pending, **attrs) -> None:
+        """Close the request's rpc span, recording any backoff it slept
+        as ``backoff_s`` (critical-path blame reads it)."""
+        if p.rpc is not None:
+            if p.backoff:
+                attrs["backoff_s"] = p.backoff
+            self.system.tracer.end(p.rpc, **attrs)
 
     def _send_io(self, req: IORequest):
         """Ship one I/O request (counted; used for sends and resends)."""

@@ -19,7 +19,10 @@ the PVFS2-style ``direct_dataloop`` streaming variant are pluggable
 register themselves instead of growing an ``if/elif`` chain in the
 daemon.
 
-Two schedulers drive the pipeline:
+Both schedulers run one request body (decode → plan → charge →
+``move_data`` → ``finish`` → respond) and differ only in admission and
+in the *charge* step — how the plan's CPU and the disk time take up
+simulated time:
 
 * :class:`SerialScheduler` (``server_threads=1``, the default) is the
   paper's single-threaded iod: stages of one request run back-to-back
@@ -33,8 +36,10 @@ Two schedulers drive the pipeline:
   concurrently, the single disk arm still serializes media time, and
   responses are pumped by a dedicated network thread (no tx stall).
 
-Both schedulers record per-stage times into the server's
-:class:`~repro.simulation.stats.StageTimes`.
+Every stage charge goes through one recorder, :func:`record_stage`,
+which adds it to the server's
+:class:`~repro.simulation.stats.StageTimes`, observes the stage
+histogram and records the ``server.<stage>`` span.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ __all__ = [
     "DirectDataloopHandler",
     "CollectiveHandler",
     "preplan_collective",
+    "record_stage",
     "HANDLER_REGISTRY",
     "register_handler",
     "resolve_handler",
@@ -115,6 +121,38 @@ def resolve_handler(op_kind: str, config) -> "RequestHandler":
     return cls.instance()
 
 
+def _region_cost(costs, req: IORequest) -> float:
+    """Per-region access-construction cost of the request's direction."""
+    if req.is_write:
+        return costs.server_region_write_cost
+    return costs.server_region_read_cost
+
+
+def _expand(
+    server: "IOServer", win: DataloopWindow, dist
+) -> tuple[ServerSplit, int, bool]:
+    """Expand one dataloop window over this server's strips.
+
+    Goes through the server's expansion cache when it runs one.
+    Returns ``(split, regions scanned, cache hit)``.
+    """
+    batch = server.system.config.dataloop_batch_regions
+    cache = server.expand_cache
+    if cache is not None:
+        return cache.expand(win, dist, server.index, batch)
+    split, scanned = expand_window(
+        win.loop,
+        win.tile_count(),
+        win.displacement,
+        win.first,
+        win.last,
+        dist,
+        server.index,
+        batch,
+    )
+    return split, scanned, False
+
+
 class RequestHandler:
     """One request kind's decode and plan stages.
 
@@ -151,16 +189,12 @@ class _ShippedRegionsHandler(RequestHandler):
     physical regions (the client did the striping split)."""
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
-        costs = server.system.costs
         regions = req.regions
         built = regions.count
-        per_region = (
-            costs.server_region_write_cost
-            if req.is_write
-            else costs.server_region_read_cost
-        )
         return ServerPlan(
-            regions=regions, built=built, proc_cost=built * per_region
+            regions=regions,
+            built=built,
+            proc_cost=built * _region_cost(server.system.costs, req),
         )
 
 
@@ -194,7 +228,8 @@ class DatatypeHandler(RequestHandler):
 
     def plan(self, server: "IOServer", req: IORequest) -> ServerPlan:
         costs = server.system.costs
-        split, scanned, hit = self._expand_window(server, req)
+        dist = server.system.metadata.lookup(req.handle).dist
+        split, scanned, hit = _expand(server, req.window, dist)
         regions = split.regions
         built = regions.count
         # exclusive attribution: construction cost goes to the plan
@@ -209,36 +244,10 @@ class DatatypeHandler(RequestHandler):
         )
 
     def _proc_cost(self, costs, req, built: int, scanned: int) -> float:
-        per_region = (
-            costs.server_region_write_cost
-            if req.is_write
-            else costs.server_region_read_cost
+        return (
+            scanned * costs.server_region_scan_cost
+            + built * _region_cost(costs, req)
         )
-        return scanned * costs.server_region_scan_cost + built * per_region
-
-    def _expand_window(
-        self, server: "IOServer", req: IORequest
-    ) -> tuple[ServerSplit, int, bool]:
-        cfg = server.system.config
-        win = req.window
-        meta = server.system.metadata.lookup(req.handle)
-        dist = meta.dist
-        cache = server.expand_cache
-        if cache is not None:
-            return cache.expand(
-                win, dist, server.index, cfg.dataloop_batch_regions
-            )
-        split, scanned = expand_window(
-            win.loop,
-            win.tile_count(),
-            win.displacement,
-            win.first,
-            win.last,
-            dist,
-            server.index,
-            cfg.dataloop_batch_regions,
-        )
-        return split, scanned, False
 
 
 @register_handler
@@ -301,12 +310,8 @@ class CollectiveHandler(RequestHandler):
         """The construction work of the plan stage, payload assembly
         excluded — callable before the round's data has arrived."""
         costs = server.system.costs
-        cfg = server.system.config
         c = req.coll
-        meta = server.system.metadata.lookup(req.handle)
-        dist = meta.dist
-        cache = server.expand_cache
-        batch = cfg.dataloop_batch_regions
+        dist = server.system.metadata.lookup(req.handle).dist
         splits = []
         scanned = 0
         hit = False
@@ -315,22 +320,10 @@ class CollectiveHandler(RequestHandler):
             win = DataloopWindow(
                 c.views[part.view], part.displacement, part.first, part.last
             )
-            if cache is not None:
-                split, n, h = cache.expand(win, dist, server.index, batch)
-                if h:
-                    hit = True
-                    cache_cost += costs.server_cache_hit_cost
-            else:
-                split, n = expand_window(
-                    win.loop,
-                    win.tile_count(),
-                    win.displacement,
-                    win.first,
-                    win.last,
-                    dist,
-                    server.index,
-                    batch,
-                )
+            split, n, h = _expand(server, win, dist)
+            if h:
+                hit = True
+                cache_cost += costs.server_cache_hit_cost
             splits.append(split)
             scanned += n
         # data order: each rank's regions stay contiguous and in its own
@@ -340,18 +333,13 @@ class CollectiveHandler(RequestHandler):
         # the merged extent list (adjacent ranks' blocks coalesce)
         merged = regions.normalized()
         built = merged.count
-        per_region = (
-            costs.server_region_write_cost
-            if req.is_write
-            else costs.server_region_read_cost
-        )
         proc = (
             scanned * costs.server_region_scan_cost
             # one vectorized merge pass over the per-rank region union
             + regions.count * costs.server_region_scan_cost
-            + built * per_region
+            + built * _region_cost(costs, req)
         )
-        plan = ServerPlan(
+        return ServerPlan(
             regions=regions,
             built=built,
             scanned=scanned,
@@ -360,7 +348,6 @@ class CollectiveHandler(RequestHandler):
             cache_hit=hit,
             disk_regions=merged,
         )
-        return plan
 
     def finish(self, server: "IOServer", req: IORequest, plan, resp, span=None):
         """Post-storage hook: scatter a read's composite stream back to
@@ -379,9 +366,9 @@ class CollectiveHandler(RequestHandler):
                 return resp
             # Per-(round, server) acknowledgements (fault tolerance):
             # each rank's segment is confirmed applied, releasing its
-            # ack-ladder entry.  Accounted exactly like the read
-            # scatter — respond stage time plus one server.scatter
-            # span — so blame reconciliation stays exact.
+            # ack-ladder entry.  Charged exactly like the read scatter
+            # — respond stage time under a server.scatter span — so
+            # blame reconciliation stays exact.
             t0 = env.now
             for part in c.parts:
                 ack = CollAck(
@@ -401,22 +388,10 @@ class CollectiveHandler(RequestHandler):
                     pace=False,
                     faultable=True,
                 )
-            dt = env.now - t0
-            server.stage_times.respond += dt
-            if metrics.enabled:
-                metrics.observe_stage("respond", dt)
-            if span is not None:
-                server.system.tracer.add(
-                    "server.scatter",
-                    "server",
-                    f"iod{server.index}",
-                    t0,
-                    env.now,
-                    trace_id=req.trace_id,
-                    parent=span,
-                    nbytes=0,
-                    parts=len(c.parts),
-                )
+            record_stage(
+                server, "respond", env.now - t0, req, span, t0, env.now,
+                name="server.scatter", nbytes=0, parts=len(c.parts),
+            )
             return resp
         stream = resp.payload
         t0 = env.now
@@ -449,23 +424,113 @@ class CollectiveHandler(RequestHandler):
                 pace=False,
                 faultable=armed,
             )
-        server.stage_times.respond += env.now - t0
+        record_stage(
+            server, "respond", env.now - t0, req, span, t0, env.now,
+            name="server.scatter", nbytes=resp.nbytes, parts=len(c.parts),
+        )
         if metrics.enabled:
-            metrics.observe_stage("respond", env.now - t0)
             metrics.tenant_bytes(req.tenant, resp.nbytes)
-        if span is not None:
-            server.system.tracer.add(
-                "server.scatter",
-                "server",
-                f"iod{server.index}",
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-                nbytes=resp.nbytes,
-                parts=len(c.parts),
-            )
         return IOResponse(req.req_id, nbytes=0, accesses_built=plan.built)
+
+
+# ----------------------------------------------------------------------
+# the stage recorder
+# ----------------------------------------------------------------------
+def record_stage(
+    server: "IOServer",
+    stage: str,
+    seconds: float,
+    req: IORequest,
+    parent,
+    t0: float,
+    t1: float,
+    name: str | None = None,
+    **attrs,
+) -> None:
+    """Charge ``seconds`` to one pipeline stage of ``server``.
+
+    The one writer of :class:`StageTimes` stage seconds and of the stage
+    histograms: it adds the charge to StageTimes, observes the stage
+    histogram and, when ``parent`` is given, records the span
+    ``server.<stage>`` (or ``name``) over ``[t0, t1]`` under it.  The
+    charge and the span bounds are separate arguments because callers
+    charge the exact cost while laying spans end to end from a start
+    instant; deriving one from the other would move float bits.
+    ``parent=None`` charges without a span (untraced, or a zero cache
+    charge that records no ``server.cache`` span).
+    """
+    st = server.stage_times
+    setattr(st, stage, getattr(st, stage) + seconds)
+    metrics = server.system.metrics
+    if metrics.enabled:
+        metrics.observe_stage(stage, seconds)
+    if parent is not None:
+        server.system.tracer.add(
+            name or f"server.{stage}",
+            "server",
+            f"iod{server.index}",
+            t0,
+            t1,
+            trace_id=req.trace_id,
+            parent=parent,
+            **attrs,
+        )
+
+
+def _record_plan(server, req, plan: ServerPlan, parent, t1, **attrs) -> float:
+    """Record a plan's construction and cache-hit charges laid end to
+    end from ``t1``; returns the instant they end."""
+    t2 = t1 + plan.proc_cost
+    span_attrs = {}
+    if parent is not None:
+        span_attrs = {"built": plan.built, "scanned": plan.scanned}
+        if req.window is not None:
+            span_attrs["dataloop"] = req.window.loop.fingerprint().hex()
+    record_stage(
+        server, "plan", plan.proc_cost, req, parent, t1, t2,
+        **span_attrs, **attrs,
+    )
+    t3 = t2 + plan.cache_cost
+    record_stage(
+        server, "cache", plan.cache_cost, req,
+        parent if plan.cache_cost > 0 or plan.cache_hit else None,
+        t2, t3, hit=plan.cache_hit, **attrs,
+    )
+    return t3
+
+
+def _disk_time(server, req, plan: ServerPlan, span, t_start: float) -> float:
+    """Media time of the plan's accesses, with any injected disk fault.
+
+    An injected slowdown/stall folds into the effective media time, so
+    StageTimes, the storage histogram and the storage span all agree
+    without special-casing.
+    """
+    disk_time = server.disk.access_time(
+        plan.regions if plan.disk_regions is None else plan.disk_regions
+    )
+    faults = server.system.faults
+    if faults.enabled and disk_time > 0:
+        disk_time += faults.disk_penalty(
+            f"iod{server.index}",
+            disk_time,
+            t_start=t_start,
+            trace_id=req.trace_id,
+            parent=span,
+        )
+    return disk_time
+
+
+def _record_storage(server, req, plan: ServerPlan, parent, t0, disk_time):
+    attrs = {}
+    if parent is not None:
+        attrs = {
+            "nbytes": plan.regions.total_bytes,
+            "regions": plan.regions.count,
+        }
+    record_stage(
+        server, "storage", disk_time, req, parent, t0, t0 + disk_time, **attrs
+    )
 
 
 # ----------------------------------------------------------------------
@@ -491,65 +556,21 @@ def preplan_collective(server: "IOServer", req: IORequest):
     ``server.request``.
     """
     env = server.system.env
-    st = server.stage_times
-    metrics = server.system.metrics
-    tracer = server.system.tracer
-    traced = tracer.enabled and req.trace_id >= 0
-    actor = f"iod{server.index}"
+    traced = server.system.tracer.enabled and req.trace_id >= 0
+    parent = req.trace_parent if traced else None
     handler = resolve_handler(req.op_kind, server.system.config)
     t0 = env.now
     yield env.timeout(handler.decode(server, req))
-    dt = env.now - t0
-    st.decode += dt
-    if metrics.enabled:
-        metrics.observe_stage("decode", dt)
-    if traced:
-        tracer.add(
-            "server.decode",
-            "server",
-            actor,
-            t0,
-            env.now,
-            trace_id=req.trace_id,
-            parent=req.trace_parent,
-            preplanned=True,
-        )
+    record_stage(
+        server, "decode", env.now - t0, req, parent, t0, env.now,
+        preplanned=True,
+    )
     plan = handler.build_plan(server, req)
     cpu = plan.proc_cost + plan.cache_cost
     t1 = env.now
     if cpu > 0:
         yield env.timeout(cpu)
-    st.plan += plan.proc_cost
-    st.cache += plan.cache_cost
-    if metrics.enabled:
-        metrics.observe_stage("plan", plan.proc_cost)
-        metrics.observe_stage("cache", plan.cache_cost)
-    if traced:
-        t2 = t1 + plan.proc_cost
-        tracer.add(
-            "server.plan",
-            "server",
-            actor,
-            t1,
-            t2,
-            trace_id=req.trace_id,
-            parent=req.trace_parent,
-            built=plan.built,
-            scanned=plan.scanned,
-            preplanned=True,
-        )
-        if plan.cache_cost > 0 or plan.cache_hit:
-            tracer.add(
-                "server.cache",
-                "server",
-                actor,
-                t2,
-                t2 + plan.cache_cost,
-                trace_id=req.trace_id,
-                parent=req.trace_parent,
-                hit=plan.cache_hit,
-                preplanned=True,
-            )
+    _record_plan(server, req, plan, parent, t1, preplanned=True)
     req.preplanned = plan
 
 
@@ -598,10 +619,7 @@ def _respond(server: "IOServer", req: IORequest, resp: IOResponse, parent=None):
     """Respond stage: non-blocking handoff to the socket layer; the
     reply drains while the daemon services the next request."""
     env = server.system.env
-    tracer = server.system.tracer
-    metrics = server.system.metrics
-    traced = tracer.enabled and req.trace_id >= 0
-    if traced:
+    if parent is not None:
         # the response's net.xfer span parents under the client's RPC
         # span (the transfer outlives this respond span)
         resp.trace_id = req.trace_id
@@ -615,76 +633,116 @@ def _respond(server: "IOServer", req: IORequest, resp: IOResponse, parent=None):
         pace=False,
         faultable=True,
     )
-    dt = env.now - t0
-    server.stage_times.respond += dt
+    record_stage(
+        server, "respond", env.now - t0, req, parent, t0, env.now,
+        nbytes=resp.nbytes if not req.is_write else 0,
+    )
+    metrics = server.system.metrics
     if metrics.enabled:
-        metrics.observe_stage("respond", dt)
         metrics.tenant_bytes(req.tenant, resp.nbytes)
-    if traced:
-        tracer.add(
-            "server.respond",
-            "server",
-            f"iod{server.index}",
-            t0,
-            env.now,
-            trace_id=req.trace_id,
-            parent=parent,
-            nbytes=resp.nbytes if not req.is_write else 0,
-        )
-
-
-def _record_busy_spans(tracer, server, req, span, plan, t1, disk_time):
-    """Record the plan/cache/storage sub-spans of one busy period.
-
-    The stages are laid end-to-end from ``t1`` in charge order (plan
-    construction, cache hit charge, disk service), so the per-stage
-    span sums reconcile exactly with :class:`StageTimes` even under the
-    serial scheduler's single combined timeout.
-    """
-    actor = f"iod{server.index}"
-    t2 = t1 + plan.proc_cost
-    attrs = {"built": plan.built, "scanned": plan.scanned}
-    if req.window is not None:
-        attrs["dataloop"] = req.window.loop.fingerprint().hex()
-    tracer.add(
-        "server.plan",
-        "server",
-        actor,
-        t1,
-        t2,
-        trace_id=req.trace_id,
-        parent=span,
-        **attrs,
-    )
-    t3 = t2 + plan.cache_cost
-    if plan.cache_cost > 0 or plan.cache_hit:
-        tracer.add(
-            "server.cache",
-            "server",
-            actor,
-            t2,
-            t3,
-            trace_id=req.trace_id,
-            parent=span,
-            hit=plan.cache_hit,
-        )
-    tracer.add(
-        "server.storage",
-        "server",
-        actor,
-        t3,
-        t3 + disk_time,
-        trace_id=req.trace_id,
-        parent=span,
-        nbytes=plan.regions.total_bytes,
-        regions=plan.regions.count,
-    )
 
 
 # ----------------------------------------------------------------------
 # schedulers
 # ----------------------------------------------------------------------
-class SerialScheduler:
+class _Scheduler:
+    """One request body shared by both schedulers.
+
+    ``_serve`` runs decode → plan → charge → ``move_data`` → ``finish``
+    → respond; a subclass decides only the charge step (:meth:`_charge`:
+    how the plan's CPU and the disk time occupy simulated time) plus
+    its admission policy in ``submit``.  :meth:`_open` and :meth:`_run`
+    are the shared submit prologue and epilogue.
+    """
+
+    concurrent = False
+
+    def __init__(self, server: "IOServer"):
+        self.server = server
+
+    def _open(self, req: IORequest, queue_wait: float):
+        """Submit prologue: queue-wait metrics and the request span."""
+        server = self.server
+        metrics = server.system.metrics
+        if metrics.enabled:
+            metrics.observe_queue_wait(queue_wait)
+            metrics.tenant_queue_wait(req.tenant, queue_wait)
+        tracer = server.system.tracer
+        if not (tracer.enabled and req.trace_id >= 0):
+            return None
+        attrs = {}
+        if server.system.config.tenants is not None:
+            attrs["tenant"] = req.tenant
+        return tracer.begin(
+            "server.request",
+            "server",
+            f"iod{server.index}",
+            trace_id=req.trace_id,
+            parent=req.trace_parent,
+            op_kind=req.op_kind,
+            is_write=req.is_write,
+            op_count=req.op_count,
+            queue_wait=queue_wait,
+            **attrs,
+        )
+
+    def _run(self, req: IORequest, span, queue_wait: float):
+        """Serve one admitted request; the epilogue turns a failure into
+        an error response (the daemon must survive) and closes the
+        request's span and end-to-end metrics."""
+        server = self.server
+        env = server.system.env
+        metrics = server.system.metrics
+        t_start = env.now
+        try:
+            yield from self._hold(req, span)
+        except Exception as exc:  # noqa: BLE001 - daemon must survive
+            if span is not None:
+                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
+            yield from send_error(server, req, exc)
+        finally:
+            self._release()
+            if span is not None:
+                server.system.tracer.end(span)
+            if metrics.enabled:
+                # end-to-end: mailbox wait + everything through respond
+                total = queue_wait + env.now - t_start
+                metrics.observe_request(total)
+                metrics.tenant_request(req.tenant, total)
+
+    def _hold(self, req: IORequest, span):
+        """The request's hold on the daemon around :meth:`_serve`."""
+        return self._serve(req, span)
+
+    def _release(self) -> None:
+        """Admission bookkeeping once a request is done."""
+
+    def _serve(self, req: IORequest, span=None):
+        server = self.server
+        env = server.system.env
+        handler = resolve_handler(req.op_kind, server.system.config)
+        server.requests += 1
+        server.ops += req.op_count
+        server.stage_times.requests += 1
+        t0 = env.now
+        yield env.timeout(handler.decode(server, req))
+        record_stage(server, "decode", env.now - t0, req, span, t0, env.now)
+        plan = handler.plan(server, req)
+        server.record_plan(plan)
+        yield from self._charge(req, plan, span)
+        resp = move_data(server, req, plan)
+        finish = getattr(handler, "finish", None)
+        if finish is not None:
+            resp = yield from finish(server, req, plan, resp, span)
+        yield from _respond(server, req, resp, span)
+
+    def _charge(self, req: IORequest, plan: ServerPlan, span):
+        """Occupy simulated time for the plan's CPU and its disk time,
+        recording the plan, cache and storage stages."""
+        raise NotImplementedError
+
+
+class SerialScheduler(_Scheduler):
     """The paper's single-threaded iod, expressed over the pipeline.
 
     Stage charging is bit-for-bit the seed implementation: one decode
@@ -693,104 +751,23 @@ class SerialScheduler:
     stalled socket pump behind the §4.3 read decline.
     """
 
-    concurrent = False
-
-    def __init__(self, server: "IOServer"):
-        self.server = server
-
     def submit(self, req: IORequest, queue_wait: float = 0.0):
+        """Serve ``req`` inline in the daemon loop: returns the request
+        body for the receive loop to ``yield from``."""
         server = self.server
-        env = server.system.env
-        metrics = server.system.metrics
         st = server.stage_times
         queued = server.backlog() + 1  # waiting + the one in hand
         if queued > st.peak_queue:
             st.peak_queue = queued
-        t_start = env.now
-        if metrics.enabled:
-            metrics.observe_queue_wait(queue_wait)
-            metrics.tenant_queue_wait(req.tenant, queue_wait)
-        tracer = server.system.tracer
-        span = None
-        if tracer.enabled and req.trace_id >= 0:
-            attrs = {}
-            if server.system.config.tenants is not None:
-                attrs["tenant"] = req.tenant
-            span = tracer.begin(
-                "server.request",
-                "server",
-                f"iod{server.index}",
-                trace_id=req.trace_id,
-                parent=req.trace_parent,
-                op_kind=req.op_kind,
-                is_write=req.is_write,
-                op_count=req.op_count,
-                queue_wait=queue_wait,
-                **attrs,
-            )
-        try:
-            yield from self._serve(req, span)
-        except Exception as exc:  # noqa: BLE001 - daemon must survive
-            if span is not None:
-                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-            yield from send_error(server, req, exc)
-        finally:
-            if span is not None:
-                tracer.end(span)
-            if metrics.enabled:
-                # end-to-end: mailbox wait + everything through respond
-                total = queue_wait + env.now - t_start
-                metrics.observe_request(total)
-                metrics.tenant_request(req.tenant, total)
+        return self._run(req, self._open(req, queue_wait), queue_wait)
 
-    def _serve(self, req: IORequest, span=None):
+    def _charge(self, req: IORequest, plan: ServerPlan, span):
         server = self.server
         env = server.system.env
-        st = server.stage_times
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        traced = span is not None
-
-        # ----- decode -----
-        handler = resolve_handler(req.op_kind, server.system.config)
-        server.requests += 1
-        server.ops += req.op_count
-        st.requests += 1
-        t0 = env.now
-        yield env.timeout(handler.decode(server, req))
-        dt = env.now - t0
-        st.decode += dt
-        if metrics.enabled:
-            metrics.observe_stage("decode", dt)
-        if traced:
-            tracer.add(
-                "server.decode",
-                "server",
-                f"iod{server.index}",
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-            )
-
-        # ----- plan + storage timing (one busy period) -----
-        plan = handler.plan(server, req)
-        server.record_plan(plan)
-        disk_time = server.disk.access_time(
-            plan.regions if plan.disk_regions is None else plan.disk_regions
+        disk_time = _disk_time(
+            server, req, plan, span,
+            env.now + plan.proc_cost + plan.cache_cost,
         )
-        faults = server.system.faults
-        if faults.enabled and disk_time > 0:
-            # injected slowdown/stall folds into the effective media
-            # time, so StageTimes, the storage histogram and the
-            # storage span all agree without special-casing
-            disk_time += faults.disk_penalty(
-                f"iod{server.index}",
-                disk_time,
-                t_start=env.now + plan.proc_cost + plan.cache_cost,
-                trace_id=req.trace_id,
-                parent=span,
-            )
         busy = plan.proc_cost + plan.cache_cost + disk_time
         t1 = env.now
         if busy > 0:
@@ -804,25 +781,13 @@ class SerialScheduler:
                 node = server.node
                 node.tx_busy_until = max(node.tx_busy_until, env.now) + busy
             yield env.timeout(busy)
-        st.plan += plan.proc_cost
-        st.cache += plan.cache_cost
-        st.storage += disk_time
-        if metrics.enabled:
-            metrics.observe_stage("plan", plan.proc_cost)
-            metrics.observe_stage("cache", plan.cache_cost)
-            metrics.observe_stage("storage", disk_time)
-        if traced:
-            _record_busy_spans(tracer, server, req, span, plan, t1, disk_time)
-
-        # ----- storage data movement + respond -----
-        resp = move_data(server, req, plan)
-        finish = getattr(handler, "finish", None)
-        if finish is not None:
-            resp = yield from finish(server, req, plan, resp, span)
-        yield from _respond(server, req, resp, span)
+        # the stages lie end to end inside the one busy period, so the
+        # per-stage span sums reconcile exactly with StageTimes
+        t3 = _record_plan(server, req, plan, span, t1)
+        _record_storage(server, req, plan, span, t3, disk_time)
 
 
-class ThreadedScheduler:
+class ThreadedScheduler(_Scheduler):
     """Multi-threaded iod with a bounded admission queue.
 
     The dispatcher (the daemon's receive loop) either admits a request —
@@ -837,7 +802,7 @@ class ThreadedScheduler:
     concurrent = True
 
     def __init__(self, server: "IOServer"):
-        self.server = server
+        super().__init__(server)
         env = server.system.env
         cfg = server.system.config
         self.threads = Resource(
@@ -882,173 +847,46 @@ class ThreadedScheduler:
         self.inflight += 1
         if self.inflight > st.peak_queue:
             st.peak_queue = self.inflight
-        metrics = server.system.metrics
-        if metrics.enabled:
-            metrics.observe_queue_wait(queue_wait)
-            metrics.tenant_queue_wait(req.tenant, queue_wait)
-        span = None
-        if tracer.enabled and req.trace_id >= 0:
-            attrs = {}
-            if server.system.config.tenants is not None:
-                attrs["tenant"] = req.tenant
-            span = tracer.begin(
-                "server.request",
-                "server",
-                f"iod{server.index}",
-                trace_id=req.trace_id,
-                parent=req.trace_parent,
-                op_kind=req.op_kind,
-                is_write=req.is_write,
-                op_count=req.op_count,
-                queue_wait=queue_wait,
-                **attrs,
-            )
+        span = self._open(req, queue_wait)
         server.system.env.process(
-            self._worker(req, span, queue_wait),
+            self._run(req, span, queue_wait),
             name=f"iod{server.index}.req{req.req_id}",
         )
 
-    def _worker(self, req: IORequest, span=None, queue_wait: float = 0.0):
-        server = self.server
-        env = server.system.env
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        t_start = env.now
-        try:
-            t0 = env.now
-            yield self.threads.request()
-            if span is not None:
-                # admission-to-thread wait under the bounded pool
-                span.attrs["thread_wait"] = env.now - t0
-            try:
-                yield from self._serve(req, span)
-            finally:
-                self.threads.release()
-        except Exception as exc:  # noqa: BLE001 - daemon must survive
-            if span is not None:
-                span.attrs["error"] = f"{type(exc).__name__}: {exc}"
-            yield from send_error(server, req, exc)
-        finally:
-            self.inflight -= 1
-            if span is not None:
-                tracer.end(span)
-            if metrics.enabled:
-                # end-to-end: mailbox wait + everything through respond
-                total = queue_wait + env.now - t_start
-                metrics.observe_request(total)
-                metrics.tenant_request(req.tenant, total)
-
-    def _serve(self, req: IORequest, span=None):
-        server = self.server
-        env = server.system.env
-        st = server.stage_times
-        tracer = server.system.tracer
-        metrics = server.system.metrics
-        traced = span is not None
-        actor = f"iod{server.index}"
-
-        # ----- decode -----
-        handler = resolve_handler(req.op_kind, server.system.config)
-        server.requests += 1
-        server.ops += req.op_count
-        st.requests += 1
+    def _hold(self, req: IORequest, span):
+        env = self.server.system.env
         t0 = env.now
-        yield env.timeout(handler.decode(server, req))
-        dt = env.now - t0
-        st.decode += dt
-        if metrics.enabled:
-            metrics.observe_stage("decode", dt)
-        if traced:
-            tracer.add(
-                "server.decode",
-                "server",
-                actor,
-                t0,
-                env.now,
-                trace_id=req.trace_id,
-                parent=span,
-            )
+        yield self.threads.request()
+        if span is not None:
+            # admission-to-thread wait under the bounded pool
+            span.attrs["thread_wait"] = env.now - t0
+        try:
+            yield from self._serve(req, span)
+        finally:
+            self.threads.release()
 
-        # ----- plan (concurrent across requests, up to N threads) -----
-        plan = handler.plan(server, req)
-        server.record_plan(plan)
+    def _release(self) -> None:
+        self.inflight -= 1
+
+    def _charge(self, req: IORequest, plan: ServerPlan, span):
+        server = self.server
+        env = server.system.env
+        # plan: concurrent across requests, up to N threads
         t1 = env.now
         cpu = plan.proc_cost + plan.cache_cost
         if cpu > 0:
             yield env.timeout(cpu)
-        st.plan += plan.proc_cost
-        st.cache += plan.cache_cost
-        if metrics.enabled:
-            metrics.observe_stage("plan", plan.proc_cost)
-            metrics.observe_stage("cache", plan.cache_cost)
-        if traced:
-            t2 = t1 + plan.proc_cost
-            attrs = {"built": plan.built, "scanned": plan.scanned}
-            if req.window is not None:
-                attrs["dataloop"] = req.window.loop.fingerprint().hex()
-            tracer.add(
-                "server.plan",
-                "server",
-                actor,
-                t1,
-                t2,
-                trace_id=req.trace_id,
-                parent=span,
-                **attrs,
-            )
-            if plan.cache_cost > 0 or plan.cache_hit:
-                tracer.add(
-                    "server.cache",
-                    "server",
-                    actor,
-                    t2,
-                    t2 + plan.cache_cost,
-                    trace_id=req.trace_id,
-                    parent=span,
-                    hit=plan.cache_hit,
-                )
-
-        # ----- storage (one disk arm per server) -----
+        _record_plan(server, req, plan, span, t1)
+        # storage: one disk arm per server
         yield self.disk_arm.request()
         try:
             t3 = env.now
-            disk_time = server.disk.access_time(
-                plan.regions if plan.disk_regions is None else plan.disk_regions
-            )
-            faults = server.system.faults
-            if faults.enabled and disk_time > 0:
-                disk_time += faults.disk_penalty(
-                    f"iod{server.index}",
-                    disk_time,
-                    t_start=t3,
-                    trace_id=req.trace_id,
-                    parent=span,
-                )
+            disk_time = _disk_time(server, req, plan, span, t3)
             if disk_time > 0:
                 yield env.timeout(disk_time)
         finally:
             self.disk_arm.release()
-        st.storage += disk_time
-        if metrics.enabled:
-            metrics.observe_stage("storage", disk_time)
-        if traced:
-            tracer.add(
-                "server.storage",
-                "server",
-                actor,
-                t3,
-                t3 + disk_time,
-                trace_id=req.trace_id,
-                parent=span,
-                nbytes=plan.regions.total_bytes,
-                regions=plan.regions.count,
-            )
-
-        resp = move_data(server, req, plan)
-        finish = getattr(handler, "finish", None)
-        if finish is not None:
-            resp = yield from finish(server, req, plan, resp, span)
-        yield from _respond(server, req, resp, span)
+        _record_storage(server, req, plan, span, t3, disk_time)
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,12 @@ in §4.  Class map:
   ``bottleneck()`` guess, reproducing the §4 saturated-resource
   analysis (client NICs for few clients, server side at scale).
 
-When tracing is enabled (``PVFSConfig.trace``), the per-stage span sums
-in ``repro.trace`` reconcile exactly with :class:`StageTimes` — the two
-accounting systems are cross-checked by ``repro-bench trace``.
+:class:`StageTimes` stage seconds are written only by the server
+pipeline's stage recorder (``repro.pvfs.pipeline.record_stage``), which
+records the matching ``server.<stage>`` span and stage histogram in the
+same call.  ``repro-bench trace`` and ``repro-bench metrics`` reconcile
+the span sums and histogram sums against :class:`StageTimes`, so a
+stage charge that bypasses the recorder shows up there.
 """
 
 from __future__ import annotations

@@ -289,40 +289,24 @@ def _walk(span, children, lo, hi, segments, nic_bandwidth):
     _emit(segments, span, resource, lo, cursor, nic_bandwidth)
 
 
-def _carve_backoff(segments, seconds, config) -> None:
-    """Reclassify estimated backoff sleep out of rpc self time.
+def _carve_backoff(segments, seconds) -> None:
+    """Reclassify backoff sleep out of rpc self time.
 
     The client's backoff sleeps happen inside the ``rpc`` span but are
-    not spans of their own; the retry counters on the span's attributes
-    recover them analytically: ``retries`` rejection backoffs of
-    ``server_retry_backoff`` each, and timeouts' exponential backoff
-    ``retry_backoff * (2^timeouts - 1)`` (see ``repro.pvfs.client``).
-    The carve is capped by the rpc self time actually on the critical
-    path, so totals stay conserved.
+    not spans of their own; the client's retry ladder records the
+    seconds it actually slept (admission rejections and timeouts) on
+    the span as ``backoff_s``.  The carve is capped by the rpc self
+    time actually on the critical path, so totals stay conserved.
     """
-    if config is None:
-        return
-    reject_backoff = getattr(config, "server_retry_backoff", 0.0)
-    faults = getattr(config, "faults", None)
-    timeout_backoff = getattr(faults, "retry_backoff", 0.0) if faults else 0.0
-
     rpc_self: dict[int, float] = {}
+    backoff: dict[int, float] = {}
     for seg in segments:
         if seg.span.name == "rpc" and seg.resource == "rpc_wait":
-            rpc_self[seg.span.span_id] = (
-                rpc_self.get(seg.span.span_id, 0.0) + seg.duration
-            )
-    seen: dict[int, Span] = {}
-    for seg in segments:
-        if seg.span.name == "rpc":
-            seen[seg.span.span_id] = seg.span
+            sid = seg.span.span_id
+            rpc_self[sid] = rpc_self.get(sid, 0.0) + seg.duration
+            backoff[sid] = seg.span.attrs.get("backoff_s", 0.0)
     for span_id, self_s in rpc_self.items():
-        attrs = seen[span_id].attrs
-        est = attrs.get("retries", 0) * reject_backoff
-        timeouts = attrs.get("timeouts", 0)
-        if timeouts and timeout_backoff > 0:
-            est += timeout_backoff * (2**timeouts - 1)
-        carve = min(self_s, est)
+        carve = min(self_s, backoff[span_id])
         if carve > 0:
             seconds["rpc_wait"] -= carve
             seconds["retry_backoff"] += carve
@@ -332,7 +316,6 @@ def critical_path(
     source,
     *,
     nic_bandwidth: Optional[float] = None,
-    config=None,
     tol: float = 1e-9,
 ) -> BlameReport:
     """Walk every trace's span tree; return exclusive per-resource blame.
@@ -340,8 +323,7 @@ def critical_path(
     ``source`` is a :class:`~repro.trace.core.TraceRecorder` or an
     iterable of closed spans.  ``nic_bandwidth`` (bytes/s, e.g.
     ``CostModel().nic_bandwidth``) enables the queue-vs-wire split of
-    ``net.xfer`` intervals; ``config`` (a ``PVFSConfig``) enables the
-    retry-backoff carve.  Raises ``ValueError`` if any trace's segment
+    ``net.xfer`` intervals.  Raises ``ValueError`` if any trace's segment
     durations fail to sum to its root duration within ``tol`` — the
     conservation law that makes "shares sum to 1" an invariant rather
     than a convention.
@@ -373,7 +355,7 @@ def critical_path(
 
     for seg in segments:
         seconds[seg.resource] += seg.duration
-    _carve_backoff(segments, seconds, config)
+    _carve_backoff(segments, seconds)
 
     return BlameReport(
         total=total,

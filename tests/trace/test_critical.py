@@ -4,8 +4,11 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.bench.tracecmd import TRACE_WORKLOADS
-from repro.faults import severity_config
-from repro.pvfs import PVFSConfig
+from repro.bench.workloads import Block3DWorkload
+from repro.faults import FaultConfig, severity_config
+from repro.pvfs import PVFS, PVFSConfig
+from repro.pvfs.errors import RetriesExhausted
+from repro.simulation import Environment
 from repro.simulation.costs import CostModel
 from repro.trace import TraceRecorder
 from repro.trace.critical import (
@@ -162,6 +165,30 @@ class TestWalk:
         assert report.traces == 1
         assert report.total == 1.0
 
+    def test_backoff_carved_from_the_recorded_sleep(self):
+        rec = _recorder()
+        root = rec.add("pvfs.read", "client", "c0", 0.0, 10.0, trace_id=1)
+        rec.add(
+            "rpc", "client", "c0", 1.0, 9.0, trace_id=1, parent=root,
+            timeouts=5, retries=3, backoff_s=2.5,
+        )
+        report = critical_path(rec)
+        # only the seconds the ladder recorded, whatever the counters say
+        assert report.seconds["retry_backoff"] == pytest.approx(2.5, abs=TOL)
+        assert report.seconds["rpc_wait"] == pytest.approx(5.5, abs=TOL)
+
+    def test_backoff_carve_capped_by_rpc_self_time(self):
+        rec = _recorder()
+        root = rec.add("pvfs.read", "client", "c0", 0.0, 10.0, trace_id=1)
+        rec.add(
+            "rpc", "client", "c0", 1.0, 3.0, trace_id=1, parent=root,
+            backoff_s=7.0,
+        )
+        report = critical_path(rec)
+        assert report.seconds["retry_backoff"] == pytest.approx(2.0, abs=TOL)
+        assert report.seconds["rpc_wait"] == 0.0
+        assert report.total == 10.0
+
     def test_classify_covers_taxonomy(self):
         assert classify_span("mpiio.read") == "client_cpu"
         assert classify_span("pvfs.write") == "client_cpu"
@@ -201,7 +228,7 @@ class TestRealRuns:
         )
         assert problems == []
         report = critical_path(
-            result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+            result.tracer, nic_bandwidth=costs.nic_bandwidth
         )
         assert sum(report.shares().values()) == pytest.approx(1.0, abs=TOL)
         assert max(report.residuals.values()) <= TOL
@@ -220,7 +247,7 @@ class TestRealRuns:
         )
         assert problems == []
         report = critical_path(
-            result.tracer, nic_bandwidth=costs.nic_bandwidth, config=cfg
+            result.tracer, nic_bandwidth=costs.nic_bandwidth
         )
         assert result.faults is not None and result.faults.armed
         assert report.seconds["fault_stall"] > 0
@@ -255,3 +282,91 @@ class TestRealRuns:
 
         problems = reconcile_blame(result.tracer, Cooked())
         assert any("decode" in p for p in problems)
+
+
+# ----------------------------------------------------------------------
+# backoff blame: the seconds the client's retry ladder really slept
+# ----------------------------------------------------------------------
+def _ladder_sleep(retry_backoff, rungs):
+    """Timeout backoff slept over ``rungs`` resends: 1, 2, 4, … units."""
+    return sum(retry_backoff * 2 ** (a - 1) for a in range(1, rungs + 1))
+
+
+class TestBackoffBlame:
+    def test_reelected_run_blames_the_slept_backoff(self):
+        # the re-election config of the collective chaos suite: one
+        # span is re-elected after 2 timeouts (it slept one backoff,
+        # 0.1 ms), another is answered after 3 (0.1 + 0.2 + 0.4 ms)
+        faults = FaultConfig(
+            seed=7,
+            server_crashes=((0, 0.0, 0.03),),
+            rpc_timeout=2e-3,
+            retry_backoff=1e-4,
+            coll_reelect_after=2,
+        )
+        result, _cfg = _traced(
+            "flash", "collective_dtype", metrics=True, faults=faults
+        )
+        slept = 0.0
+        for span in result.tracer.spans:
+            if span.name != "rpc" or not span.attrs.get("timeouts"):
+                continue
+            rungs = span.attrs["timeouts"]
+            if span.attrs.get("reelected"):
+                rungs -= 1  # handed off at the timeout, no backoff after
+            want = _ladder_sleep(faults.retry_backoff, rungs)
+            assert span.attrs["backoff_s"] == pytest.approx(want, abs=TOL)
+            slept += span.attrs["backoff_s"]
+        assert slept == pytest.approx(0.8e-3, abs=TOL)
+        report = critical_path(
+            result.tracer, nic_bandwidth=CostModel().nic_bandwidth
+        )
+        assert report.seconds["retry_backoff"] == pytest.approx(
+            0.8e-3, abs=TOL
+        )
+
+    def test_exhausted_rpc_carries_its_backoff(self):
+        faults = FaultConfig(
+            seed=1,
+            server_crashes=((0, 0.0, 100.0),),
+            rpc_timeout=1e-3,
+            retry_backoff=1e-4,
+            max_retries=3,
+        )
+        env = Environment()
+        fs = PVFS(env, config=PVFSConfig(trace=True, faults=faults))
+        raised = []
+
+        def job(c):
+            fh = yield from c.open("/dead")
+            try:
+                yield from c.write(fh, 0, nbytes=100)
+            except RetriesExhausted as exc:
+                raised.append(exc)
+
+        env.process(job(fs.client("cl0")))
+        env.run()
+        assert raised
+        (rpc,) = [s for s in fs.tracer.spans if s.name == "rpc"]
+        assert rpc.attrs["error"].startswith("server iod0 unresponsive")
+        # every timeout but the last one backed off before its resend
+        want = _ladder_sleep(faults.retry_backoff, faults.max_retries)
+        assert rpc.attrs["backoff_s"] == pytest.approx(want, abs=TOL)
+        report = critical_path([rpc])
+        assert report.seconds["retry_backoff"] == pytest.approx(want, abs=TOL)
+
+    def test_rejections_record_their_backoff(self):
+        cfg = PVFSConfig(
+            trace=True, n_servers=4, server_threads=2, server_queue_depth=2
+        )
+        result = run_workload(
+            Block3DWorkload.reduced(2), "list_io", phantom=True, config=cfg
+        )
+        rejected = [
+            s for s in result.tracer.spans
+            if s.name == "rpc" and s.attrs.get("retries")
+        ]
+        assert rejected
+        for span in rejected:
+            want = span.attrs["retries"] * cfg.server_retry_backoff
+            assert span.attrs["backoff_s"] == pytest.approx(want, abs=TOL)
