@@ -16,9 +16,10 @@ All I/O methods are generators to be driven inside a simulation process
 (``yield from client.read(...)``).  Data is real unless ``phantom`` is
 requested (paper-scale timing runs account sizes without moving bytes).
 
-Simulation batching (``PVFSConfig.sim_batching``): runs of consecutive
-synchronous list/contig operations that touch an identical server set
-are collapsed into one exchange whose *accounted* cost (per-op client
+Simulation batching (``PVFSConfig.sim_batching``): a list/contig access
+is striped once per call, and its operations are grouped by the server
+set they touch.  A run of consecutive operations with an identical set
+is collapsed into one exchange whose *accounted* cost (per-op client
 and server fixed costs, round-trip latencies, wire bytes) equals the
 sum of the individual operations — see DESIGN.md §5.
 """
@@ -36,7 +37,7 @@ from ..regions import Regions
 from .collective import CollHandoff, CollRecovery, _CollWake
 from .distribution import Distribution
 from .errors import PVFSError, RetriesExhausted
-from .jobs import Job, build_jobs
+from .jobs import build_jobs
 from .protocol import (
     OP_COLL,
     OP_CONTIG,
@@ -137,21 +138,33 @@ class _Pending:
         self.counter = None
 
 
-class _OpGroup:
-    """Consecutive list/contig ops collapsed into one exchange."""
+def _group_ops(splits, op_starts, n_servers, batching):
+    """Group the operations of one striped list/contig access.
 
-    __slots__ = ("ops", "signature", "stream_base", "nbytes")
-
-    def __init__(self, signature):
-        self.signature = signature
-        self.ops: list[tuple[Regions, dict[int, Job]]] = []
-        self.stream_base: list[int] = []
-        self.nbytes = 0
-
-    def add(self, regions: Regions, jobs: dict[int, Job]) -> None:
-        self.stream_base.append(self.nbytes)
-        self.ops.append((regions, jobs))
-        self.nbytes += regions.total_bytes
+    ``splits`` is ``Distribution.split`` of the whole access and
+    ``op_starts`` each operation's first stream byte, then the total.
+    Each operation's server set is one row of an (ops x servers)
+    matrix; with ``batching`` a run of equal rows is one group,
+    otherwise each operation is its own.  Returns the group bounds
+    (operation indices) and each server's piece index at every bound:
+    group ``g`` sends server ``s`` pieces ``cuts[g, s]:cuts[g + 1, s]``.
+    """
+    n_ops = len(op_starts) - 1
+    op_of = {
+        server: np.searchsorted(op_starts[:-1], share.stream_pos, "right") - 1
+        for server, share in splits.items()
+    }
+    touches = np.zeros((n_ops, n_servers), dtype=bool)
+    for server, idx in op_of.items():
+        touches[idx, server] = True
+    first = np.ones(n_ops, dtype=bool)
+    if batching:
+        first[1:] = (touches[1:] != touches[:-1]).any(axis=1)
+    bounds = np.append(np.flatnonzero(first), n_ops)
+    cuts = np.zeros((bounds.size, n_servers), dtype=np.int64)
+    for server, idx in op_of.items():
+        cuts[:, server] = np.searchsorted(idx, bounds)
+    return bounds.tolist(), cuts
 
 
 class PVFSClient:
@@ -517,7 +530,6 @@ class PVFSClient:
         Returns the packed stream of all operations, concatenated in
         order (or ``None`` when phantom).
         """
-        self._check_listio(ops)
         stream = yield from self._simple_ops(
             fh, ops, OP_LIST, is_write=False, data=None, phantom=phantom,
             trace=trace,
@@ -526,22 +538,12 @@ class PVFSClient:
 
     def write_list(self, fh, ops: Sequence[Regions], data=None, trace=None):
         """List I/O write of the packed stream ``data`` (None = phantom)."""
-        self._check_listio(ops)
         if data is not None:
             data = np.asarray(data).view(np.uint8).reshape(-1)
         yield from self._simple_ops(
             fh, ops, OP_LIST, is_write=True, data=data, phantom=data is None,
             trace=trace,
         )
-
-    def _check_listio(self, ops: Sequence[Regions]) -> None:
-        limit = self.system.config.list_io_max_regions
-        for op in ops:
-            if op.count > limit:
-                raise PVFSError(
-                    f"list I/O operation with {op.count} regions exceeds "
-                    f"the {limit}-region request bound"
-                )
 
     # ------------------------------------------------------------------
     # datatype I/O
@@ -603,12 +605,32 @@ class PVFSClient:
     def _simple_ops(
         self, fh, ops, op_kind, *, is_write, data, phantom, trace=None
     ):
-        """Run a sequence of synchronous contig/list operations."""
+        """Run a sequence of synchronous contig/list operations.
+
+        The whole access is striped with one ``Distribution.split``
+        and its operations are grouped by server set
+        (:func:`_group_ops`); each (group, server) request is a slice
+        of that server's share, whose pieces are already in stream
+        order.
+        """
         env = self.system.env
         costs = self.system.costs
         cfg = self.system.config
 
-        total_bytes = sum(op.total_bytes for op in ops)
+        n_ops = len(ops)
+        counts = np.fromiter((op.count for op in ops), np.int64, n_ops)
+        limit = cfg.list_io_max_regions
+        if op_kind == OP_LIST and n_ops and counts.max() > limit:
+            raise PVFSError(
+                f"list I/O operation with {counts.max()} regions exceeds "
+                f"the {limit}-region request bound"
+            )
+        access = Regions.concat(ops)
+        # stream position of each operation's first byte, then the total
+        op_starts = np.concatenate(([0], np.cumsum(access.lengths)))[
+            np.concatenate(([0], np.cumsum(counts)))
+        ]
+        total_bytes = int(op_starts[-1])
         if data is not None and data.size != total_bytes:
             raise ValueError(
                 f"data stream of {data.size} bytes vs operations totalling "
@@ -618,34 +640,22 @@ class PVFSClient:
         if self.system.tracer.enabled:
             op_span = self._open_op(
                 f"pvfs.{op_kind}", trace,
-                is_write=is_write, ops=len(ops), nbytes=total_bytes,
+                is_write=is_write, ops=n_ops, nbytes=total_bytes,
             )
         out = (
             None
             if (is_write or phantom)
             else np.zeros(total_bytes, dtype=np.uint8)
         )
-        self.counters.io_ops += len(ops)
+        self.counters.io_ops += n_ops
 
-        # group consecutive ops by server signature
-        groups: list[_OpGroup] = []
-        stream_cursor = 0
-        for op in ops:
-            jobs = build_jobs(self.name, fh.handle, is_write, op, fh.dist)
-            sig = tuple(sorted(jobs))
-            if (
-                cfg.sim_batching
-                and groups
-                and groups[-1].signature == sig
-            ):
-                groups[-1].add(op, jobs)
-            else:
-                g = _OpGroup(sig)
-                g.add(op, jobs)
-                groups.append(g)
+        splits = fh.dist.split(access)
+        bounds, cuts = _group_ops(
+            splits, op_starts, fh.dist.n_servers, cfg.sim_batching
+        )
 
-        for group in groups:
-            gsize = len(group.ops)
+        for gi in range(len(bounds) - 1):
+            gsize = bounds[gi + 1] - bounds[gi]
             # per-op client fixed cost, plus the round-trip latencies
             # and message CPU the collapsed ops would have paid
             extra = (gsize - 1) * (
@@ -653,57 +663,45 @@ class PVFSClient:
             )
             yield env.timeout(gsize * costs.fs_op_client_cost + extra)
 
-            # merge the group's jobs per server
             requests = []
-            for server in group.signature:
-                regs = []
-                spos = []
-                pairs = 0
-                for (op_regions, jobs), base in zip(
-                    group.ops, group.stream_base
-                ):
-                    job = jobs.get(server)
-                    if job is None or not job.access_count:
-                        continue
-                    regs.append(job.accesses)
-                    spos.append(job.stream_pos + (stream_cursor + base))
-                    pairs += job.access_count
-                if not regs:
+            lo_row, hi_row = cuts[gi : gi + 2].tolist()
+            for server, (lo, hi) in enumerate(zip(lo_row, hi_row)):
+                if lo == hi:
                     continue
-                merged = Regions.concat(regs)
-                sposa = np.concatenate(spos)
+                share = splits[server]
+                regions = share.regions[lo:hi]
+                spos = share.stream_pos[lo:hi]
                 payload = None
                 if is_write and data is not None:
                     payload = Regions(
-                        sposa, merged.lengths, _trusted=True
+                        spos, regions.lengths, _trusted=True
                     ).gather(data)
                 req = IORequest(
                     handle=fh.handle,
                     is_write=is_write,
                     op_kind=op_kind,
-                    regions=merged,
+                    regions=regions,
                     payload=payload,
-                    payload_nbytes=merged.total_bytes if is_write else 0,
+                    payload_nbytes=regions.total_bytes if is_write else 0,
                     op_count=gsize,
                     phantom=phantom,
-                    listio_pairs=pairs if op_kind == OP_LIST else 0,
+                    listio_pairs=hi - lo if op_kind == OP_LIST else 0,
                     req_id=self._req_id(),
                     reply_to=self.mailbox,
                     client=self.name,
                     tenant=self.tenant,
                     server=server,
                 )
-                requests.append((req, sposa, merged))
+                requests.append((req, spos, regions))
 
             responses = yield from self._io_round(requests, op_span)
             if out is not None:
-                for req, sposa, merged in requests:
+                for req, spos, regions in requests:
                     resp = responses[req.req_id]
                     if resp.payload is not None:
                         Regions(
-                            sposa, merged.lengths, _trusted=True
+                            spos, regions.lengths, _trusted=True
                         ).scatter(out, resp.payload)
-            stream_cursor += group.nbytes
 
         if is_write:
             self.counters.bytes_written += total_bytes

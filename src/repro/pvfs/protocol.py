@@ -16,6 +16,7 @@ import numpy as np
 
 from ..dataloops import Dataloop, wire_size
 from ..regions import Regions
+from .errors import ProtocolError
 
 __all__ = [
     "MetaRequest",
@@ -268,8 +269,6 @@ class IORequest:
         daemon, so this raises :class:`~repro.pvfs.errors.ProtocolError`
         with a message the server can ship back.
         """
-        from .errors import ProtocolError
-
         if self.op_kind not in OP_KINDS:
             raise ProtocolError(f"unknown op kind {self.op_kind!r}")
         if self.op_kind == OP_DTYPE:

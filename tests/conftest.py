@@ -76,6 +76,42 @@ def sorted_region_lists(draw, max_regions=20):
 
 
 @st.composite
+def list_io_ops(draw, strip_size, n_servers, max_ops=8):
+    """List I/O operations over disjoint file regions (pair lists).
+
+    Each operation is fresh (1–5 regions in any order, some crossing
+    strips or spanning several servers), empty, or a repeat of the
+    previous one a whole number of stripe rows further on, so it
+    touches the same server set.
+    """
+    period = strip_size * n_servers
+    ops = []
+    prev = None  # (base, relative pairs) of the last non-empty op
+    cursor = 0
+    for _ in range(draw(st.integers(1, max_ops))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "empty"]))
+        if kind == "empty":
+            ops.append([])
+            continue
+        if kind == "repeat" and prev is not None:
+            base = -(-cursor // period) * period + prev[0] % period
+            rel = prev[1]
+        else:
+            rel, r = [], 0
+            for _ in range(draw(st.integers(1, 5))):
+                r += draw(st.integers(0, 2 * strip_size))
+                ln = draw(st.integers(1, 3 * strip_size))
+                rel.append((r, ln))
+                r += ln
+            rel = draw(st.permutations(rel))
+            base = cursor + draw(st.integers(0, period))
+        ops.append([(base + o, ln) for o, ln in rel])
+        cursor = base + max(o + ln for o, ln in rel)
+        prev = (base, rel)
+    return ops
+
+
+@st.composite
 def small_datatypes(draw, depth=0):
     """Recursively built derived datatypes with small footprints."""
     from repro.datatypes import (

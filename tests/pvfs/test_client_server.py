@@ -11,7 +11,7 @@ from repro.pvfs.errors import PVFSError
 from repro.regions import Regions
 from repro.simulation import Environment
 
-from ..conftest import sorted_region_lists
+from ..conftest import list_io_ops, sorted_region_lists
 
 
 def run_client(fs, fn):
@@ -319,6 +319,32 @@ class TestBatchingEquivalence:
             assert ops == 2 * r.count
         assert np.array_equal(outs[False], outs[True])
         assert np.array_equal(outs[True], data)
+
+    @given(list_io_ops(strip_size=16, n_servers=4))
+    @settings(max_examples=25, deadline=None)
+    def test_list_io_equivalence(self, pairs):
+        ops = [Regions.from_pairs(p) for p in pairs]
+        total = sum(op.total_bytes for op in ops)
+        data = np.random.default_rng(5).integers(0, 255, total, dtype=np.uint8)
+        fields = (
+            "io_ops", "request_desc_bytes", "regions_shipped",
+            "bytes_read", "bytes_written",
+        )
+        outs, counters = {}, {}
+        for batching in (False, True):
+            fs = make_fs(sim_batching=batching, strip_size=16)
+
+            def main(c):
+                fh = yield from c.open("/f")
+                yield from c.write_list(fh, ops, data)
+                out = yield from c.read_list(fh, ops)
+                return out, {f: getattr(c.counters, f) for f in fields}
+
+            outs[batching], counters[batching] = run_client(fs, main)
+        assert np.array_equal(outs[False], outs[True])
+        assert np.array_equal(outs[True], data)
+        assert counters[False] == counters[True]
+        assert counters[True]["io_ops"] == 2 * len(ops)
 
 
 class TestServerRobustness:
